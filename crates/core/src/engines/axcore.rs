@@ -15,7 +15,7 @@ use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
 use axcore_parallel::arena;
 use axcore_quant::{CodePlanes, QuantFormat, QuantizedMatrix};
-use axcore_softfloat::FpFormat;
+use axcore_softfloat::{FpFormat, FP16};
 
 /// Stand-in addend for a [`WeightLane`] variant whose product is zero
 /// (Guard zero / SNC tie rounding a subnormal away): so negative that
@@ -291,6 +291,11 @@ impl AxCoreEngine {
                 group_unit_masks[g] |= 1 << block_unit[g * nbc + bc];
             }
         }
+        // The per-element table width the build really fills: only the
+        // units a group's blocks select get rows, so the widest group
+        // sets the cost the LUT heuristic weighs.
+        let lut_width = group_unit_masks.iter().map(|m| m.count_ones() as usize).max().unwrap_or(0)
+            * code_space;
 
         // Decoded scale values for the exact-dequant ablation path.
         let scale_vals = w
@@ -317,6 +322,7 @@ impl AxCoreEngine {
             code_signs,
             unit_cs,
             code_space,
+            lut_width,
             // Packed planes additionally require the activation format
             // to fit the combined i32 LUT entry: exponent field ≤ 255
             // and `man_bits ≤ 12` so the increment fits i16 — true for
@@ -375,6 +381,10 @@ pub struct AxCorePrepared {
     unit_cs: Vec<usize>,
     /// Table stride per activation element: the widest unit code space.
     code_space: usize,
+    /// Table entries the build fills per activation element: the most
+    /// units any one group selects × `code_space` (the LUT heuristic's
+    /// `entries_per_k`).
+    lut_width: usize,
     /// Per-column contiguous code planes for the LUT gather.
     planes: CodePlanes,
     /// Bit `u` set ⇔ some block column of group `g` uses unit `u`.
@@ -477,8 +487,7 @@ impl PreparedGemm for AxCorePrepared {
 
         check_prepared_shapes(a, m, self.k, self.n, out)?;
         let plan = self.verifier.plan();
-        // Per-element table width: every unit × its padded code space.
-        let use_lut = lut::use_lut(self.n, self.units.len() * self.code_space);
+        let use_lut = lut::use_lut(self.n, self.lut_width);
         let mut ladder = [Tier::Direct; 4];
         let mut len = 0;
         if act::use_w4a8(self.w4a8.is_some(), m, self.n) && !health::is_quarantined(Tier::W4a8) {
@@ -757,6 +766,11 @@ impl AxCorePrepared {
         // which the quantizer never produces); zero-fill in that case.
         let needs_zero_fill = self.unit_cs.iter().any(|&ucs| ucs < cs);
         let packed = self.planes.is_packed();
+        // The FP16 vector stages (encode, table build, fused finish) run
+        // on the AVX2 rung only, and never while a transient fault plan
+        // is armed: the fused finish bypasses `NormUnit::normalize` and
+        // its accumulator tap, so such calls keep the tapped scalar path.
+        let fused = allow_avx2 && self.fused_fp16_eligible() && !reliability::faults::armed();
         let mk_table = || AxLutTable {
             bits: arena::take(k, 0u32),
             tbl: match (packed, needs_zero_fill) {
@@ -771,8 +785,13 @@ impl AxCorePrepared {
             },
         };
         let build = |t: &mut AxLutTable, i: usize, col0: usize, ncols: usize| {
-            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                t.bits[kk] = self.act.encode(av as f64);
+            let row = &a[i * k..(i + 1) * k];
+            if fused {
+                axcore_simd::encode_fp16(row, &mut t.bits[..]);
+            } else {
+                for (kk, &av) in row.iter().enumerate() {
+                    t.bits[kk] = self.act.encode(av as f64);
+                }
             }
             for g in 0..groups {
                 // Shard-restricted build: only the units referenced by
@@ -784,6 +803,18 @@ impl AxCorePrepared {
                     let u = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
                     let preadd = &self.units[u].1;
+                    if fused {
+                        // Every unit spans exactly 16 codes here, so the
+                        // unit's rows are its two tie rows and sign row.
+                        axcore_simd::build_rows_fp16(
+                            &t.bits[g * gs..(g + 1) * gs],
+                            preadd.c1(),
+                            &self.code_addends[2 * u * cs..2 * (u + 1) * cs],
+                            &self.code_signs[u * cs..(u + 1) * cs],
+                            &mut t.tcomb[(u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs],
+                        );
+                        continue;
+                    }
                     let ucs = self.unit_cs[u];
                     let signs = &self.code_signs[u * cs..u * cs + ucs];
                     for kk in g * gs..(g + 1) * gs {
@@ -859,7 +890,7 @@ impl AxCorePrepared {
             let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
                 if self.planes.is_packed() {
                     if allow_avx2 && self.avx2_gather_eligible() {
-                        self.lut_gather_cols_packed_avx2(t, col0, cols);
+                        self.lut_gather_cols_packed_avx2(t, col0, cols, fused);
                         return;
                     }
                     self.lut_gather_cols_packed(t, col0, cols, |acc, e| {
@@ -1195,15 +1226,42 @@ impl AxCorePrepared {
             && axcore_simd::self_test()
     }
 
+    /// Whether the AVX2 rung also takes the FP16 vector stages around the
+    /// gather ([`axcore_simd::encode_fp16`],
+    /// [`axcore_simd::build_rows_fp16`] and the fused finish
+    /// [`axcore_simd::gather_group_planes_finish_fp16`]): FP16
+    /// activations, FPMA dequantization, packed planes with every unit
+    /// on the full 16-code space, on top of the gather's own eligibility
+    /// — which includes the one-shot self-test covering all four
+    /// kernels. BF16 and the exact-dequant ablation keep the scalar
+    /// stages.
+    fn fused_fp16_eligible(&self) -> bool {
+        self.act == FP16
+            && self.fpma_dequant
+            && self.planes.is_packed()
+            && self.unit_cs.iter().all(|&c| c == 16)
+            && self.avx2_gather_eligible()
+    }
+
     /// AVX2 form of [`Self::lut_gather_cols_packed`]: eight columns per
     /// tile, with the per-step table lookups fused into one
     /// `vpgatherdd` over the combined i32 entry plane and the partial
     /// adder run branchlessly in 8 × i32 vector lanes (see
     /// [`axcore_simd::gather_group`] for the bit-identity argument).
+    /// With `fused` the tile's Norm → AxScale → decode epilogue runs in
+    /// the same kernel ([`axcore_simd::gather_group_planes_finish_fp16`],
+    /// bit-identical to the scalar `finish` below); otherwise the lanes
+    /// come back and finish one by one.
     /// Tiles sweep in plain ascending order: at 4 bytes per entry all
     /// units' segments for one group fit L1 together, so the scalar
     /// path's unit-ordered visit is unnecessary here.
-    fn lut_gather_cols_packed_avx2(&self, t: &AxLutTable, col0: usize, cols: &mut [f32]) {
+    fn lut_gather_cols_packed_avx2(
+        &self,
+        t: &AxLutTable,
+        col0: usize,
+        cols: &mut [f32],
+        fused: bool,
+    ) {
         const LANES: usize = 8;
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
@@ -1238,6 +1296,23 @@ impl AxCorePrepared {
                     let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
                     *base = ((u * k + g * gs) * cs) as i32;
                     offsets[l] = planes.offset_of(col) + seg0;
+                }
+                if fused {
+                    let sc = g * n + col0 + j;
+                    // Both slices are exactly LANES long by construction,
+                    // so the array conversions cannot fail.
+                    #[allow(clippy::unwrap_used)]
+                    axcore_simd::gather_group_planes_finish_fp16(
+                        &t.tcomb,
+                        &bases,
+                        planes.bytes(),
+                        &offsets,
+                        seg_len,
+                        self.scales[sc..sc + LANES].try_into().unwrap(),
+                        self.axscale.c2(),
+                        (&mut cols[j..j + LANES]).try_into().unwrap(),
+                    );
+                    continue;
                 }
                 let (sig, exp) = axcore_simd::gather_group_planes(
                     &t.tcomb,
@@ -1274,7 +1349,6 @@ mod tests {
     use super::*;
     use crate::engines::reference_gemm;
     use axcore_quant::GroupQuantizer;
-    use axcore_softfloat::FP16;
 
     fn toy_weights(k: usize, n: usize) -> Vec<f32> {
         (0..k * n)
@@ -1458,6 +1532,181 @@ mod tests {
             o1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             o2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    const FP4S: [QuantFormat; 3] = [QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0];
+
+    /// An all-codes matrix: codes cycle each block's 16-code space, one
+    /// block format per entry of `formats` in turn, unit FP16 scales.
+    fn cycling_matrix(k: usize, n: usize, bc: usize, formats: &[QuantFormat]) -> QuantizedMatrix {
+        let gs = 32;
+        let fmts: Vec<QuantFormat> =
+            (0..(k / gs) * (n / bc)).map(|i| formats[i % formats.len()]).collect();
+        QuantizedMatrix {
+            k,
+            n,
+            group_size: gs,
+            block_cols: bc,
+            codes: (0..k * n).map(|i| (i * 7 % 16) as u8).collect(),
+            scales: vec![0x3C00; (k / gs) * n],
+            formats: fmts,
+        }
+    }
+
+    #[test]
+    fn lut_width_counts_only_the_units_a_group_selects() {
+        use crate::engines::{with_lut_policy, LutPolicy};
+        use crate::reliability::{with_verify_policy, VerifyPolicy};
+        use axcore_parallel::{health, Tier};
+        // Three formats, but one 64-wide block column per group: each
+        // group's table build fills a single unit's 16 codes.
+        let (m, k, n) = (2, 96, 64);
+        let q = cycling_matrix(k, n, 64, &FP4S);
+        let p = AxCoreEngine::new(FP16).preload(&q);
+        assert_eq!(p.units.len(), 3);
+        assert_eq!(p.lut_width, 16);
+        with_lut_policy(LutPolicy::Auto, || {
+            assert!(lut::use_lut(n, p.lut_width), "n = 64 amortizes a 16-entry build");
+            let all_units = p.units.len() * p.code_space;
+            assert!(!lut::use_lut(n, all_units), "the old 48-entry width did not");
+        });
+        let a = toy_acts(m, k);
+        let (mut direct, mut auto) = (vec![0f32; m * n], vec![0f32; m * n]);
+        with_lut_policy(LutPolicy::Never, || p.gemm(&a, m, &mut direct));
+        let ((), report) = health::capture_report(|| {
+            with_verify_policy(VerifyPolicy::Full, || {
+                with_lut_policy(LutPolicy::Auto, || p.gemm(&a, m, &mut auto))
+            })
+        });
+        let tier = report.map(|r| r.tier);
+        assert!(matches!(tier, Some(Tier::Avx2Lut | Tier::SwarLut)), "ran on {tier:?}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&direct), bits(&auto));
+    }
+
+    /// `axcore_simd::scalar_encode_fp16` is `FP16.encode(x as f64)` on
+    /// every rounding boundary: every FP16 value, every midpoint between
+    /// neighbours (and past the largest finite), each midpoint ± 1 f32
+    /// ulp, plus NaN, ±∞, −0 and f32 subnormals.
+    #[test]
+    fn fp16_encode_reference_equals_softfloat() {
+        let mut xs = vec![f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        xs.extend((0..1 << 12).map(|i| f32::from_bits(1 + i * 2039))); // f32 subnormals
+        for h in 0u32..0x7c00 {
+            let v = FP16.decode(h);
+            let next = if h == 0x7bff { 65536.0 } else { FP16.decode(h + 1) };
+            let mid = ((v + next) / 2.0) as f32;
+            assert_eq!(mid as f64, (v + next) / 2.0, "midpoints are exact in f32");
+            let below = f32::from_bits(mid.to_bits() - 1);
+            let above = f32::from_bits(mid.to_bits() + 1);
+            for x in [v as f32, mid, below, above] {
+                xs.extend([x, -x]);
+            }
+        }
+        for x in xs {
+            assert_eq!(
+                axcore_simd::scalar_encode_fp16(x),
+                FP16.encode(x as f64),
+                "x = {x:e} ({:#010x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// `axcore_simd::scalar_build_rows_fp16` over a prepared unit's
+    /// `code_addends`/`code_signs` rows is the PreAdd → PE multiply →
+    /// pre-split pipeline, entry for entry: every FP16 activation
+    /// pattern (Guard zeros, both tie variants, NaN/∞ patterns) against
+    /// all 16 codes of every FP4 unit, under SNC/compensation ablations.
+    #[test]
+    fn fp16_build_reference_equals_pe_pipeline() {
+        let q = cycling_matrix(96, 8, 8, &FP4S);
+        let bits: Vec<u32> = (0..=0xffff).collect();
+        let mut rows = vec![0i32; bits.len() * 16];
+        let cfgs = [
+            AxCoreConfig::default(),
+            AxCoreConfig::mp_fpma_base(),
+            AxCoreConfig::without_stochastic_rounding(),
+        ];
+        for cfg in cfgs {
+            let p = AxCoreEngine::with_config(FP16, cfg).preload(&q);
+            assert_eq!(p.code_space, 16);
+            for (u, (unit, preadd)) in p.units.iter().enumerate() {
+                axcore_simd::scalar_build_rows_fp16(
+                    &bits,
+                    preadd.c1(),
+                    &p.code_addends[32 * u..32 * (u + 1)],
+                    &p.code_signs[16 * u..16 * (u + 1)],
+                    &mut rows,
+                );
+                for (&b, row) in bits.iter().zip(rows.chunks_exact(16)) {
+                    let term = preadd.term(b);
+                    for (code, &entry) in row.iter().enumerate() {
+                        let lane = WeightLane::new(unit, code as u8);
+                        let product = p.pe.multiply(
+                            term.t,
+                            term.sign,
+                            term.zero,
+                            term.stochastic_bit,
+                            &lane,
+                        );
+                        let want = match product {
+                            Some((mag, sign)) => {
+                                let pp = PreparedProduct::new(FP16, mag, sign);
+                                (pp.exp << 16) | (pp.inc as i32 & 0xffff)
+                            }
+                            None => 0,
+                        };
+                        assert_eq!(entry, want, "{cfg:?} unit {u} a {b:#06x} code {code}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accumulator states at the normalization edges: zero, ±1, 2^j − 1
+    /// and 2^j, RNE ties rounding down and up, carry-out, and anchors
+    /// that flush (e_out ≤ 0) or saturate (e_out > 30).
+    fn finish_edge_lanes() -> Vec<(i32, i32)> {
+        let mut sigs = vec![0i32, 1, -1, i32::MAX];
+        for j in [1, 9, 10, 11, 12, 13, 20, 30] {
+            sigs.extend([(1 << j) - 1, 1 << j, -(1 << j) + 1, -(1 << j)]);
+        }
+        // 11 significant bits + a dropped half: even → down, odd → up,
+        // all-ones → carry-out; and a dropped half plus sticky bit.
+        sigs.extend([(0x400 << 1) | 1, (0x401 << 1) | 1, -((0x7ff << 1) | 1)]);
+        sigs.push(((0x400 << 2) | 3) << 3);
+        let mut lanes = Vec::new();
+        for &s in &sigs {
+            for e in [-20, 0, 1, 12, 15, 30, 45] {
+                lanes.push((s, e));
+            }
+        }
+        lanes
+    }
+
+    /// `axcore_simd::scalar_finish_fp16` is `NormUnit::normalize` →
+    /// `AxScale::apply` → FP16 decode → f32 for all 65 536 scale
+    /// patterns against the accumulator edge states, with and without
+    /// compensation.
+    #[test]
+    fn fp16_finish_reference_equals_norm_axscale() {
+        let norm = NormUnit::new(FP16);
+        for ax in [AxScale::new(FP16), AxScale::new(FP16).without_compensation()] {
+            for (sig, exp) in finish_edge_lanes() {
+                let o = norm.normalize(&PartialAcc::from_parts(exp, sig as i64, FP16));
+                for scale in 0..=0xffffu16 {
+                    let want = FP16.decode(ax.apply(o, scale)) as f32;
+                    let got = axcore_simd::scalar_finish_fp16(sig, exp, scale, ax.c2());
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "sig {sig} exp {exp} scale {scale:#06x} c2 {}",
+                        ax.c2()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

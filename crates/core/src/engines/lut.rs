@@ -88,9 +88,10 @@ pub fn with_lut_policy<R>(policy: LutPolicy, f: impl FnOnce() -> R) -> R {
 const AMORTIZE_FACTOR: usize = 4;
 
 /// Decide LUT vs direct for one prepared-GEMM call. `entries_per_k` is
-/// the per-activation-element table width: `units × code space` for
-/// AxCore, the dequantized-weight palette size for FPMA, the code space
-/// for the INT-FP engines.
+/// the per-activation-element table width the build fills: for AxCore
+/// the most units any one group selects × the code space, the
+/// dequantized-weight palette size for FPMA, the code space for the
+/// INT-FP engines.
 pub(crate) fn use_lut(n: usize, entries_per_k: usize) -> bool {
     match current_lut_policy() {
         LutPolicy::Always => true,

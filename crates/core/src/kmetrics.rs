@@ -80,9 +80,16 @@ pub fn with_kernel_timing<R>(f: impl FnOnce() -> R) -> (R, KernelTiming) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// `ENABLED` and the counters are process-global while tests run on
+    /// parallel threads: a timing extent open in one test makes another
+    /// test's "disabled" section record. Every test here holds this.
+    static TIMING: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_sections_record_nothing() {
+        let _serial = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
         let before = LUT_BUILD_NS.load(Ordering::Relaxed);
         record_lut_build(|| std::thread::sleep(std::time::Duration::from_millis(2)));
         assert_eq!(LUT_BUILD_NS.load(Ordering::Relaxed), before);
@@ -90,6 +97,7 @@ mod tests {
 
     #[test]
     fn timing_extent_captures_section_deltas() {
+        let _serial = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
         let ((), t) = with_kernel_timing(|| {
             record_lut_build(|| std::thread::sleep(std::time::Duration::from_millis(2)));
             record_act_quant(|| std::thread::sleep(std::time::Duration::from_millis(1)));

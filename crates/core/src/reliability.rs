@@ -371,6 +371,15 @@ pub mod faults {
         FIRED.load(Ordering::Relaxed)
     }
 
+    /// Whether a planned upset is armed and has not fired yet. Vector
+    /// kernels that bypass the taps (the LUT tier's fused FP16 finish
+    /// skips `NormUnit::normalize`) check this per call and take the
+    /// tapped scalar path while it holds.
+    #[inline]
+    pub fn armed() -> bool {
+        ARMED.load(Ordering::Relaxed)
+    }
+
     /// Arm from `AXCORE_FAULTS` (`acc:<event>:<bit>` / `pe:<event>:<bit>`
     /// / `sys:<event>:<bit>`), once per process. Unset or malformed
     /// values arm nothing.

@@ -950,6 +950,17 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// A campaign arms process-global fault plans and quarantines tiers,
+    /// while tests run on parallel threads: two overlapping campaigns
+    /// fire each other's planned upsets and lift each other's
+    /// quarantines. Every test that runs one holds this.
+    static CAMPAIGN: Mutex<()> = Mutex::new(());
+
+    fn campaign_guard() -> MutexGuard<'static, ()> {
+        CAMPAIGN.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn rng_is_deterministic() {
@@ -971,6 +982,7 @@ mod tests {
 
     #[test]
     fn smoke_campaign_is_clean_and_deterministic() {
+        let _serial = campaign_guard();
         let cfg = CampaignConfig::smoke(7);
         let r1 = run_campaign(&cfg);
         // Every at-rest fault in a checksummed region must be detected
@@ -986,6 +998,7 @@ mod tests {
 
     #[test]
     fn kv_sweep_covers_both_page_modes_and_heals_every_hit() {
+        let _serial = campaign_guard();
         let cfg = CampaignConfig::smoke(23);
         let r = run_campaign(&cfg);
         for mode in ["KvArena[fp32]", "KvArena[q4-opt]"] {
@@ -1016,6 +1029,7 @@ mod tests {
 
     #[test]
     fn at_rest_sweep_covers_every_engine_roster_site() {
+        let _serial = campaign_guard();
         let cfg = CampaignConfig::smoke(11);
         let r = run_campaign(&cfg);
         for (engine, _) in roster() {

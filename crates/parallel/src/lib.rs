@@ -488,9 +488,27 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The pool instance, its worker count and the cancel flag are
+    /// process-global while tests run on parallel threads. A test that
+    /// shuts the pool down, force-restarts it or raises the cancel flag
+    /// holds this exclusively; a test that dispatches holds it shared, so
+    /// it never sees workers vanish, threads change or chunk claims stop
+    /// mid-call.
+    static POOL_STATE: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn pool_exclusive() -> RwLockWriteGuard<'static, ()> {
+        POOL_STATE.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn pool_shared() -> RwLockReadGuard<'static, ()> {
+        POOL_STATE.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn covers_every_chunk_exactly_once() {
+        let _pool = pool_shared();
         let mut data = vec![0u32; 1003];
         par_chunks_mut(&mut data, 10, |i, chunk| {
             for v in chunk.iter_mut() {
@@ -504,6 +522,7 @@ mod tests {
 
     #[test]
     fn covers_every_chunk_in_both_modes() {
+        let _pool = pool_shared();
         for mode in [ExecMode::Pooled, ExecMode::Scoped] {
             with_exec_mode(mode, || {
                 with_threads(4, || {
@@ -523,6 +542,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
+        let _pool = pool_shared();
         let work = |i: usize, chunk: &mut [f32]| {
             for (j, v) in chunk.iter_mut().enumerate() {
                 *v = ((i * 31 + j) as f32).sin();
@@ -550,6 +570,7 @@ mod tests {
 
     #[test]
     fn shards_cover_every_column_in_both_modes() {
+        let _pool = pool_shared();
         for mode in [ExecMode::Pooled, ExecMode::Scoped] {
             with_exec_mode(mode, || {
                 with_threads(4, || {
@@ -573,6 +594,7 @@ mod tests {
 
     #[test]
     fn sharded_and_serial_agree_bitwise() {
+        let _pool = pool_shared();
         let work = |_s: &mut (), sh: Shard, view: &mut ShardSlice<'_, f32>| {
             for r in 0..view.rows() {
                 for (j, v) in view.row(r).iter_mut().enumerate() {
@@ -597,6 +619,7 @@ mod tests {
 
     #[test]
     fn shard_slots_keep_stable_thread_affinity() {
+        let _pool = pool_shared();
         use std::sync::Mutex;
         use std::thread::ThreadId;
         with_exec_mode(ExecMode::Pooled, || {
@@ -628,6 +651,7 @@ mod tests {
 
     #[test]
     fn shard_panic_propagates_and_pool_stays_usable() {
+        let _pool = pool_shared();
         with_exec_mode(ExecMode::Pooled, || {
             with_threads(4, || {
                 let n = 256usize;
@@ -676,6 +700,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_serially_in_workers() {
+        let _pool = pool_shared();
         for mode in [ExecMode::Pooled, ExecMode::Scoped] {
             let nested_threads = AtomicUsize::new(usize::MAX);
             let mut data = vec![0u8; 64];
@@ -692,6 +717,7 @@ mod tests {
 
     #[test]
     fn scratch_is_reused_within_a_worker() {
+        let _pool = pool_shared();
         let builds = AtomicUsize::new(0);
         let mut data = vec![0u8; 100];
         with_threads(2, || {
@@ -708,6 +734,7 @@ mod tests {
 
     #[test]
     fn pool_workers_persist_across_calls() {
+        let _pool = pool_shared();
         with_exec_mode(ExecMode::Pooled, || {
             with_threads(3, || {
                 let mut data = vec![0u8; 96];
@@ -725,6 +752,7 @@ mod tests {
 
     #[test]
     fn panicking_task_propagates_and_pool_stays_usable() {
+        let _pool = pool_shared();
         with_exec_mode(ExecMode::Pooled, || {
             with_threads(2, || {
                 let mut data = vec![0u32; 32];
@@ -755,6 +783,7 @@ mod tests {
 
     #[test]
     fn panic_in_first_worker_drains_claims_and_pool_is_reusable() {
+        let _pool = pool_shared();
         for mode in [ExecMode::Pooled, ExecMode::Scoped] {
             with_exec_mode(mode, || {
                 with_threads(4, || {
@@ -790,14 +819,13 @@ mod tests {
 
     #[test]
     fn shutdown_joins_workers_and_pool_restarts() {
+        let _pool = pool_exclusive();
         with_exec_mode(ExecMode::Pooled, || {
             with_threads(2, || {
                 let mut data = vec![0u8; 64];
                 par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
             });
         });
-        // Serialize with other tests' pool use: shutdown takes the submit
-        // lock, so in-flight jobs finish first.
         shutdown_pool();
         assert_eq!(spawned_workers(), 0);
         with_exec_mode(ExecMode::Pooled, || {
@@ -812,6 +840,7 @@ mod tests {
 
     #[test]
     fn pooled_and_scoped_agree_bitwise() {
+        let _pool = pool_shared();
         let work = |i: usize, chunk: &mut [f64]| {
             for (j, v) in chunk.iter_mut().enumerate() {
                 *v = ((i * 17 + j) as f64).cos() * 0.5;

@@ -147,9 +147,10 @@ fn worker_loop(pool: Arc<Pool>, idx: usize) {
     let mut seen = 0u64;
     let mut st = lock(&pool.state);
     loop {
-        if st.shutting_down {
-            return;
-        }
+        // A pending job comes before the shutdown flag: `force_restart`
+        // can mark the pool shutting-down after a job was published but
+        // before this worker claimed its slot, and the submitter waits
+        // for every participant's slot.
         if st.epoch != seen {
             seen = st.epoch;
             if idx < st.participants {
@@ -177,6 +178,8 @@ fn worker_loop(pool: Arc<Pool>, idx: usize) {
                     pool.done_cv.notify_one();
                 }
             }
+        } else if st.shutting_down {
+            return;
         } else {
             st = pool
                 .work_cv
@@ -336,8 +339,9 @@ pub fn restarts() -> u64 {
 /// a chunk that never returns: [`shutdown`] would block behind the stuck
 /// job, while this call lets *future* dispatches proceed on new threads
 /// immediately. The abandoned instance is marked shutting-down so its
-/// healthy workers exit as soon as they finish (or are parked); a truly
-/// stuck worker — and the submitter blocked waiting for it — leak. The
+/// healthy workers exit once they have run any slot already published
+/// to them (or are parked); a truly stuck worker — and the submitter
+/// blocked waiting for it — leak. The
 /// submitter's completion wait is what keeps the job's borrows alive, so
 /// abandonment never invalidates memory; it only stops *new* work from
 /// queueing behind the wedge.
@@ -366,6 +370,7 @@ mod tests {
 
     #[test]
     fn force_restart_on_idle_pool_swaps_instance() {
+        let _pool = crate::tests::pool_exclusive();
         // Spin the pool up, force-restart, and prove later dispatches
         // run on the fresh instance.
         crate::with_exec_mode(crate::ExecMode::Pooled, || {
@@ -389,7 +394,41 @@ mod tests {
     }
 
     #[test]
+    fn restart_before_a_helper_claims_its_slot_still_runs_the_slot() {
+        let _pool = crate::tests::pool_exclusive();
+        // Slot 0 abandons the pool right after the job is published, so
+        // the helper usually wakes to find both the job and the shutdown
+        // flag: it must still run its slot (the submitter waits for it)
+        // rather than exit and wedge the submitter for good.
+        crate::with_exec_mode(crate::ExecMode::Pooled, || {
+            crate::with_threads(2, || {
+                let mut data = vec![0u8; 8];
+                crate::par_chunks_mut(&mut data, 2, |_, c| c.fill(1));
+            });
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            let helper_ran = AtomicBool::new(false);
+            run_indexed(1, &|slot| {
+                if slot == 0 {
+                    force_restart();
+                } else {
+                    helper_ran.store(true, Ordering::SeqCst);
+                }
+            });
+            let _ = tx.send(helper_ran.load(Ordering::SeqCst));
+        });
+        let helper_ran = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("submitter wedged behind an abandoned helper"));
+        clear_cancel();
+        assert!(helper_ran, "the helper's slot never ran");
+        assert!(submitter.join().is_ok());
+    }
+
+    #[test]
     fn cancel_flag_round_trip() {
+        let _pool = crate::tests::pool_exclusive();
         clear_cancel();
         assert!(!cancel_requested());
         request_cancel();

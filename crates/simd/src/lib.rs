@@ -1,7 +1,8 @@
 //! The one unsafe corner of the workspace: the AVX2 kernels for the
 //! prepared decode hot loops in `axcore::engines` — the packed-plane
-//! LUT gather (`vpgatherdd`) and the W4A8 integer block dot
-//! (`vpmaddubsw`).
+//! LUT gather (`vpgatherdd`), the FP16 stages around it (activation
+//! encode, table build, fused Norm → AxScale finish) and the W4A8
+//! integer block dot (`vpmaddubsw`).
 //!
 //! Everything else in the workspace builds under
 //! `#![forbid(unsafe_code)]`; quarantining the vector kernels here keeps
@@ -10,6 +11,21 @@
 //! exhaustive-ish randomized tests pinning the paths bit-equal, so the
 //! unsafe surface is auditable in isolation from the engines it
 //! accelerates.
+//!
+//! # Unsafe surface
+//!
+//! Every `unsafe` block is a call into one of these `target_feature`
+//! functions (whose bodies do the raw pointer loads, stores and
+//! gathers), made by a safe entry point after `avx2_available()` and the
+//! checks that discharge the function's `# Safety` contract:
+//!
+//! | kernel | entry points | obligations checked by the entry point |
+//! |---|---|---|
+//! | `avx2_gather_group`, `avx2_fold` | [`gather_group`], [`gather_group_planes`], [`gather_group_planes_finish_fp16`] | equal code-slice lengths (a multiple of 8), every lane's table segment in bounds |
+//! | `avx2_encode_fp16` | [`encode_fp16`] | equal lengths, a multiple of 8 (the tail runs scalar) |
+//! | `avx2_build_rows_fp16` | [`build_rows_fp16`] | 32 addends, 16 signs, 16 outputs per element |
+//! | `avx2_finish_add` | [`finish_fp16`], [`gather_group_planes_finish_fp16`] | none beyond AVX2: every operand is a fixed 8-lane array |
+//! | `avx2_block_dots_u8i8` | [`block_dots_u8i8`] | equal lengths, whole 32-byte blocks |
 //!
 //! # Table entry layout
 //!
@@ -30,10 +46,13 @@
 //! bar, not closeness to an exact dot product.
 
 #![warn(missing_docs)]
-// Safety posture: `unsafe` appears only in `avx2_gather_group` (the
-// `target_feature` declaration and the pointer-offset gather), with the
-// obligations documented on the function and discharged by
-// `gather_group`'s bounds checks.
+
+mod fp16;
+
+pub use fp16::{
+    build_rows_fp16, encode_fp16, finish_fp16, gather_group_planes_finish_fp16,
+    scalar_build_rows_fp16, scalar_encode_fp16, scalar_finish_fp16,
+};
 
 /// True when the running CPU can execute [`gather_group`]'s vector path.
 ///
@@ -51,14 +70,14 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// One-shot power-on self test of the vector kernel: fold a small
-/// deterministic code pattern through both the AVX2 path and the scalar
-/// reference and compare the observable `(sig, exp)` state. Returns
-/// `true` when they agree bit-for-bit (or when the CPU has no AVX2, in
-/// which case the vector path can never run). Cached after the first
-/// call; the reliability ladder consults it before trusting the AVX2
-/// tier, so a machine with a faulty vector unit degrades instead of
-/// silently corrupting.
+/// One-shot power-on self test of the LUT tier's vector kernels: run a
+/// small deterministic pattern through the AVX2 gather, FP16 encode,
+/// table build and fused finish, and through their scalar references.
+/// Returns `true` when every pair agrees bit-for-bit (or when the CPU
+/// has no AVX2, in which case no vector path can run). Cached after the
+/// first call; the reliability ladder consults it before trusting the
+/// AVX2 tier, so a machine whose vector unit fails *any* of the four
+/// kernels loses the whole rung instead of silently corrupting.
 pub fn self_test() -> bool {
     use std::sync::OnceLock;
     static RESULT: OnceLock<bool> = OnceLock::new();
@@ -93,7 +112,7 @@ pub fn self_test() -> bool {
         let vector = gather_group(&table, &bases, &codes);
         (0..8).all(|l| {
             scalar.0[l] == vector.0[l] && (scalar.0[l] == 0 || scalar.1[l] == vector.1[l])
-        })
+        }) && fp16::self_check()
     })
 }
 
@@ -122,6 +141,19 @@ pub fn gather_group(
     bases: &[i32; 8],
     codes: &[&[u8]; 8],
 ) -> ([i32; 8], [i32; 8]) {
+    check_gather_bounds(table, bases, codes);
+    let nb = codes[0].len();
+    #[cfg(target_arch = "x86_64")]
+    if nb.is_multiple_of(8) && avx2_available() {
+        // SAFETY: AVX2 confirmed at runtime; index bounds asserted above.
+        return unsafe { avx2_gather_group(table, bases, codes) };
+    }
+    scalar_gather_group(table, bases, codes)
+}
+
+/// The bounds that make the vector fold's raw gather sound: equal-length
+/// code slices, and every lane's table segment inside `table`.
+fn check_gather_bounds(table: &[i32], bases: &[i32; 8], codes: &[&[u8]; 8]) {
     let nb = codes[0].len();
     for l in 0..8 {
         assert_eq!(codes[l].len(), nb, "ragged code slices");
@@ -133,12 +165,6 @@ pub fn gather_group(
             table.len()
         );
     }
-    #[cfg(target_arch = "x86_64")]
-    if nb.is_multiple_of(8) && avx2_available() {
-        // SAFETY: AVX2 confirmed at runtime; index bounds asserted above.
-        return unsafe { avx2_gather_group(table, bases, codes) };
-    }
-    scalar_gather_group(table, bases, codes)
 }
 
 /// Shard-local form of [`gather_group`]: the eight lanes' code slices
@@ -234,6 +260,29 @@ unsafe fn avx2_gather_group(
     codes: &[&[u8]; 8],
 ) -> ([i32; 8], [i32; 8]) {
     use std::arch::x86_64::*;
+    let (sig, exp) = avx2_fold(table, bases, codes);
+    let mut so = [0i32; 8];
+    let mut eo = [0i32; 8];
+    _mm256_storeu_si256(so.as_mut_ptr() as *mut __m256i, sig);
+    _mm256_storeu_si256(eo.as_mut_ptr() as *mut __m256i, exp);
+    (so, eo)
+}
+
+/// The fold behind [`avx2_gather_group`], leaving the `(sig, exp)` lanes
+/// in registers for a fused epilogue.
+///
+/// # Safety
+///
+/// [`avx2_gather_group`]'s contract.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn avx2_fold(
+    table: &[i32],
+    bases: &[i32; 8],
+    codes: &[&[u8]; 8],
+) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+    use std::arch::x86_64::*;
     let mut sig = _mm256_setzero_si256();
     let mut exp = _mm256_setzero_si256();
     let base_v = _mm256_loadu_si256(bases.as_ptr() as *const __m256i);
@@ -282,11 +331,7 @@ unsafe fn avx2_gather_group(
             exp = _mm256_blendv_epi8(anchor, pexp, z);
         }
     }
-    let mut so = [0i32; 8];
-    let mut eo = [0i32; 8];
-    _mm256_storeu_si256(so.as_mut_ptr() as *mut __m256i, sig);
-    _mm256_storeu_si256(eo.as_mut_ptr() as *mut __m256i, exp);
-    (so, eo)
+    (sig, exp)
 }
 
 /// One-shot self test of the W4A8 vector kernel: dot a deterministic

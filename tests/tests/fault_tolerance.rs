@@ -5,8 +5,8 @@
 //! published [`ExecReport`].
 //!
 //! Tier quarantine and the downgrade counter are process-global, so
-//! every test here serializes on one mutex and resets health state on
-//! both sides.
+//! every test here holds the shared tier-health lock exclusively, which
+//! resets health state on both sides.
 
 use axcore::engines::{with_lut_policy, AxCoreEngine, GemmEngine, LutPolicy};
 use axcore::{with_verify_policy, VerifyPolicy};
@@ -14,14 +14,11 @@ use axcore_faults::{run_campaign, CampaignConfig};
 use axcore_parallel::{health, ExecReport, FailReason, Tier};
 use axcore_quant::GroupQuantizer;
 use axcore_softfloat::FP16;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-static HEALTH_LOCK: Mutex<()> = Mutex::new(());
+use axcore_xtests::{tier_health_exclusive, TierHealthGuard};
 
 /// Serialize the test and start from clean global health state.
-fn health_guard() -> MutexGuard<'static, ()> {
-    let g = HEALTH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    health::reset();
+fn health_guard() -> TierHealthGuard {
+    let g = tier_health_exclusive();
     let _ = health::take_report();
     g
 }
@@ -170,6 +167,26 @@ fn pool_stays_usable_after_degradation() {
         assert_eq!(s.to_bits(), o.to_bits(), "elem {j} after degradation");
     }
     health::reset();
+}
+
+/// A call made while a transient fault plan is armed keeps the scalar
+/// Norm → AxScale finish on the LUT tier: the AVX2 rung's fused finish
+/// has no accumulator tap, so without that fallback an armed `acc`
+/// upset would silently never fire on the default decode path.
+#[test]
+fn armed_accumulator_fault_reaches_the_lut_tier() {
+    use axcore::reliability::faults::{self, FaultPlan, TransientSite};
+    let _g = health_guard();
+    let (a, q) = setup(17);
+    let p = AxCoreEngine::new(FP16).prepare(&q);
+    faults::arm(FaultPlan { site: TransientSite::Accumulator, event: 5, bit: 3 });
+    let mut out = vec![f32::NAN; M * N];
+    axcore_parallel::with_threads(1, || {
+        with_lut_policy(LutPolicy::Always, || {
+            with_verify_policy(VerifyPolicy::Off, || p.gemm(&a, M, &mut out))
+        })
+    });
+    assert!(faults::disarm(), "the accumulator tap never fired on the LUT tier");
 }
 
 /// The reduced campaign sweep (the CI smoke gate): every injected

@@ -192,6 +192,35 @@ proptest! {
         assert_lut_bit_exact(&FiglutEngine::new(FP16), &a, M, &mixed);
     }
 
+    /// AxScale edge scales on an all-codes three-format matrix, at the
+    /// decode and a small prefill height: scales that saturate (the
+    /// largest finite, large powers of two), flush (FP16 subnormals and
+    /// the smallest normal), negative and signed-zero scales, so the
+    /// fused Norm → AxScale finish of the AVX2 rung meets every clamp.
+    /// `k · n` is sized so even `m = 1` clears the parallel threshold
+    /// and the 2- and 4-worker runs really shard the columns.
+    #[test]
+    fn axcore_edge_scales_lut_bit_exact(seed in 0u64..500) {
+        let (k, n) = (256usize, 128usize);
+        let mut q = all_codes_matrix(
+            k, n, 32, 4,
+            &[QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0],
+            seed,
+        );
+        const EDGES: [u16; 14] = [
+            0x7bff, 0xfbff, 0x7800, 0x6c00, // saturating
+            0x0001, 0x83ff, 0x0400, 0x1000, // subnormal / flushing
+            0x0000, 0x8000,                 // signed zeros
+            0xbc00, 0xc500, 0x3c00, 0x2e66, // negative and ordinary
+        ];
+        for (i, s) in q.scales.iter_mut().enumerate() {
+            *s = EDGES[(i + seed as usize) % EDGES.len()];
+        }
+        for m in [1usize, 3] {
+            assert_lut_bit_exact(&AxCoreEngine::new(FP16), &activations(m * k, seed), m, &q);
+        }
+    }
+
     /// Decode shape (m = 1, wide n): the shared-table column-tile split
     /// in `drive_lut` — one build on the calling thread, read-only
     /// gathers across workers.

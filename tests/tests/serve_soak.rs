@@ -6,8 +6,9 @@
 //! must remain usable afterwards.
 //!
 //! Tier quarantine, the runtime verify policy, and the worker pool are
-//! process-global, so the tests serialize on one mutex and reset health
-//! state on both sides (same discipline as `fault_tolerance.rs`).
+//! process-global, so the tests serialize on the shared tier-health
+//! lock, held exclusively, which resets health state on both sides
+//! (same discipline as `fault_tolerance.rs`).
 
 use axcore::reliability::VerifyPolicy;
 use axcore_nn::eval::{quantize_model, QuantizedLm, Scheme};
@@ -18,18 +19,11 @@ use axcore_nn::model::{LmConfig, TransformerLm};
 use axcore_parallel::{health, Tier};
 use axcore_serve::{Incident, ServeConfig, ServeError, ServeFault, Server};
 use std::collections::HashMap;
+use axcore_xtests::tier_health_exclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
-
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-fn global_guard() -> MutexGuard<'static, ()> {
-    let g = GLOBAL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    health::reset();
-    g
-}
 
 const BUDGETS: [usize; 2] = [3, 5];
 const PROMPTS: usize = 6;
@@ -79,7 +73,7 @@ fn references(model: &QuantizedLm) -> HashMap<(usize, usize), Vec<usize>> {
 /// after the churn.
 #[test]
 fn soak_under_tier_fault_churn_is_deadlock_free_and_bit_exact() {
-    let _g = global_guard();
+    let _g = tier_health_exclusive();
     let model = qlm();
     let refs = Arc::new(references(&model));
     let server = Arc::new(Server::start(Arc::clone(&model), ServeConfig {
@@ -202,7 +196,7 @@ fn soak_under_tier_fault_churn_is_deadlock_free_and_bit_exact() {
 /// the report and the pool reusable afterwards.
 #[test]
 fn wedge_under_load_recovers_via_watchdog_pool_restart() {
-    let _g = global_guard();
+    let _g = tier_health_exclusive();
     let model = qlm();
     let refs = references(&model);
     let restarts_before = axcore_parallel::pool_restarts();
@@ -268,7 +262,7 @@ fn wedge_under_load_recovers_via_watchdog_pool_restart() {
 /// repair, and incident evidence.
 #[test]
 fn kv_corruption_mid_flight_is_detected_healed_and_bit_exact() {
-    let _g = global_guard();
+    let _g = tier_health_exclusive();
     let model = qlm();
     let refs = references(&model);
     let server = Server::start(Arc::clone(&model), ServeConfig {

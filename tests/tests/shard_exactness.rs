@@ -155,7 +155,7 @@ proptest! {
 #[test]
 fn quarantined_tier_fallback_stays_bit_exact_under_shards() {
     use axcore_parallel::{health, Tier};
-    health::reset();
+    let _health = axcore_xtests::tier_health_exclusive();
     let _ = health::take_report();
 
     let engine = AxCoreEngine::new(FP16);

@@ -21,6 +21,11 @@
 //!   weights the integer grid cannot represent (INT8, E4M3, group size
 //!   not a multiple of 32), degrades to the FP path **bit-identically**:
 //!   a disengaged W4A8 tier must be invisible.
+//!
+//! Tier quarantine is process-global: the quarantine test takes the
+//! shared tier-health lock exclusively and every other test holds it
+//! shared, so no quarantine can land between a check's serial and
+//! sharded calls.
 
 use axcore::engines::{
     with_act_policy, ActPolicy, AxCoreEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
@@ -28,6 +33,7 @@ use axcore::engines::{
 use axcore_parallel::{health, ExecMode, Tier};
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::FP16;
+use axcore_xtests::{tier_health_exclusive, tier_health_shared};
 use proptest::prelude::*;
 
 const K: usize = 128;
@@ -65,6 +71,7 @@ fn assert_w4a8_within_tolerance(
     q: &QuantizedMatrix,
     rel: f64,
 ) -> Result<(), TestCaseError> {
+    let _health = tier_health_shared();
     let fp = fp_reference(engine, a, q);
     let wdeq = q.dequant_all();
     let prepared = engine.prepare(q);
@@ -150,6 +157,7 @@ proptest! {
 /// fall back to the FP path bit-identically — not approximately.
 #[test]
 fn ineligible_weights_fall_back_bit_identically() {
+    let _health = tier_health_shared();
     let cases: Vec<(Box<dyn GemmEngine>, QuantizedMatrix)> = vec![
         (
             Box::new(FiglutEngine::new(FP16)),
@@ -183,6 +191,7 @@ fn ineligible_weights_fall_back_bit_identically() {
 /// produces output bit-identical to `Never`, on every engine family.
 #[test]
 fn quarantined_tier_falls_back_bit_identically() {
+    let _health = tier_health_exclusive();
     let a = activations(9);
     let q = GroupQuantizer::adaptive_fp4(32, 8, None).quantize(&weights(21, 0.4), K, N);
     let engines: Vec<Box<dyn GemmEngine>> = vec![
@@ -192,7 +201,6 @@ fn quarantined_tier_falls_back_bit_identically() {
     for engine in &engines {
         let fp = fp_reference(engine.as_ref(), &a, &q);
         let prepared = engine.prepare(&q);
-        health::reset();
         health::quarantine(Tier::W4a8);
         let mut out = vec![f32::NAN; M * N];
         axcore_parallel::with_threads(1, || {
@@ -215,6 +223,7 @@ fn quarantined_tier_falls_back_bit_identically() {
 /// assertions above are comparing two genuinely different paths.
 #[test]
 fn always_policy_engages_the_integer_tier() {
+    let _health = tier_health_shared();
     let a = activations(3);
     let q = GroupQuantizer::fixed(QuantFormat::E2M1, 32).quantize(&weights(33, 0.4), K, N);
     let engine = AxCoreEngine::new(FP16);
