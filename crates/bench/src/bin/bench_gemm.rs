@@ -23,9 +23,12 @@
 //!   scoped (per-call) thread spawns, per-call table allocation, byte
 //!   code planes;
 //! * `pooled` (decode only) — the LUT tier on the persistent-pool
-//!   runtime: parked workers, arena-recycled tables, nibble-packed SWAR
-//!   code-plane gathers. `pooled / lut` at equal thread count is the
-//!   runtime's win over the previous execution layer;
+//!   runtime: parked workers, arena-recycled tables, nibble-packed code
+//!   planes folded in registers. `pooled / lut` at equal thread count is
+//!   the runtime's win over the previous execution layer. It runs at
+//!   one row per call (`decode_m1x64_pooled`) and at 8 stacked rows per
+//!   call (`decode_m8x64_pooled`, the continuous-batching shape, where
+//!   the fold reuses each decoded weight code across a block of rows);
 //! * `w4a8` (decode only) — the integer-activation tier on the pooled
 //!   runtime (`ActPolicy::Always`): the activation row Q8-quantized once
 //!   per call, weight blocks folded in as integer dots of 4-bit codes
@@ -59,10 +62,16 @@
 //! (`ActPolicy::Never`) and with Q8 activations (`ActPolicy::Always`),
 //! plus the relative delta.
 //!
+//! Before timing, the current engine is checked bit-for-bit against the
+//! seed algorithm at m = 1, at a ragged m = 5 and on the m = 128 prefill
+//! matrix, on both kernel tiers and both plane layouts.
+//!
 //! With `AXCORE_BENCH_STRICT=1`, the binary exits non-zero if
 //! `decode_m1x64_lut`, `decode_m1x64_pooled` or `decode_m1x64_w4a8`
 //! rows/s regresses more than 20% against the committed
-//! `BENCH_gemm.json` baseline, if the best prefill configuration's
+//! `BENCH_gemm.json` baseline, if stacked decode
+//! (`decode_m8x64_pooled`) is slower per row than single-row decode
+//! (`decode_m1x64_pooled`), if the best prefill configuration's
 //! speedup over the seed falls under 3×, if W4A8 decode is not at least
 //! 1.5× the pooled FP-activation LUT decode at one worker, if the W4A8
 //! perplexity delta exceeds the DESIGN.md §10 bound, or — on hosts with
@@ -148,6 +157,9 @@ const K: usize = 512;
 const N: usize = 512;
 const PREFILL_M: usize = 128;
 const DECODE_CALLS: usize = 64;
+/// Rows per call of the stacked decode entry: a continuous batch of 8
+/// sequences, each contributing one row per step.
+const STACKED_M: usize = 8;
 
 /// Strict-mode ceiling on the W4A8-vs-FP-activation perplexity delta, in
 /// percent — the accuracy bound documented in DESIGN.md §10.
@@ -230,6 +242,10 @@ impl Entry {
     }
 }
 
+/// One thread-sweep row: the worker count, then prefill prepared / LUT,
+/// decode prepared / LUT / pooled, W4A8 and stacked pooled decode.
+type SweepRow = (usize, Entry, Entry, Entry, Entry, Entry, Entry, Entry);
+
 fn main() {
     let w: Vec<f32> = (0..K * N)
         .map(|i| (((i as u64 * 7 + 11) * 2654435761 % 1009) as f32 / 504.5 - 1.0) * 0.3)
@@ -284,9 +300,33 @@ fn main() {
     // Serial-by-construction configurations, measured once.
     let prefill_rows = PREFILL_M as f64;
     let decode_rows = DECODE_CALLS as f64;
+    let mut seed_prefill = vec![0f32; PREFILL_M * N];
     let prefill_seed = time_it(3, || {
-        seed_gemm(FP16, &a_prefill, PREFILL_M, &q, &mut out);
+        seed_gemm(FP16, &a_prefill, PREFILL_M, &q, &mut seed_prefill);
     });
+    // Multi-row sanity: the seed's rows are independent, so its first
+    // `m` prefill rows are its m-row answer. A ragged m = 5 (one full
+    // LUT row block plus a tail) and the full prefill matrix, on both
+    // kernel tiers and both plane layouts.
+    for m in [5, PREFILL_M] {
+        let want: Vec<u32> = seed_prefill[..m * N].iter().map(|v| v.to_bits()).collect();
+        for mode in [ExecMode::Pooled, ExecMode::Scoped] {
+            for policy in [LutPolicy::Never, LutPolicy::Always] {
+                for eng in [&engine, &legacy] {
+                    axcore_parallel::with_exec_mode(mode, || {
+                        with_lut_policy(policy, || {
+                            eng.gemm(&a_prefill[..m * K], m, &q, &mut out[..m * N])
+                        })
+                    });
+                    assert_eq!(
+                        want,
+                        out[..m * N].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "seed baseline diverged from current engine at m = {m} ({mode:?}, {policy:?})"
+                    );
+                }
+            }
+        }
+    }
     let prefill_serial = time_it(5, || {
         axcore_parallel::with_threads(1, || {
             with_lut_policy(LutPolicy::Never, || engine.gemm(&a_prefill, PREFILL_M, &q, &mut out))
@@ -316,7 +356,9 @@ fn main() {
     // runtime (arena scratch + packed SWAR gathers) on the same shapes.
     let prepared = engine.prepare(&q);
     let prepared_legacy = legacy.prepare(&q);
-    let mut rows: Vec<(usize, Entry, Entry, Entry, Entry, Entry, Entry)> = Vec::new();
+    let a_stacked = &a_prefill[..STACKED_M * K];
+    let stacked_rows = (DECODE_CALLS * STACKED_M) as f64;
+    let mut rows: Vec<SweepRow> = Vec::new();
     for &t in &sweep {
         axcore_parallel::with_threads(t, || {
             // The configurations are measured in alternating rounds
@@ -324,8 +366,7 @@ fn main() {
             // thermal throttling, a co-tenant waking up — lands on
             // every configuration equally instead of biasing whichever
             // one happens to run later.
-            let (mut pp, mut pl, mut dp, mut dl, mut dpo, mut dw) =
-                (f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+            let [mut pp, mut pl, mut dp, mut dl, mut dpo, mut dw, mut ds] = [f64::MAX; 7];
             for _ in 0..5 {
                 pp = pp.min(time_it(1, || {
                     axcore_parallel::with_exec_mode(ExecMode::Scoped, || {
@@ -377,15 +418,31 @@ fn main() {
                         })
                     });
                 }));
+                ds = ds.min(time_it(1, || {
+                    axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
+                        with_lut_policy(LutPolicy::Always, || {
+                            for _ in 0..DECODE_CALLS {
+                                engine.gemm_prepared(
+                                    &*prepared,
+                                    a_stacked,
+                                    STACKED_M,
+                                    &mut out[..STACKED_M * N],
+                                );
+                            }
+                        })
+                    });
+                }));
             }
+            let entry = |rows: f64, secs: f64| Entry { rows_per_s: rows / secs, seconds: secs, threads: t };
             rows.push((
                 t,
-                Entry { rows_per_s: prefill_rows / pp, seconds: pp, threads: t },
-                Entry { rows_per_s: prefill_rows / pl, seconds: pl, threads: t },
-                Entry { rows_per_s: decode_rows / dp, seconds: dp, threads: t },
-                Entry { rows_per_s: decode_rows / dl, seconds: dl, threads: t },
-                Entry { rows_per_s: decode_rows / dpo, seconds: dpo, threads: t },
-                Entry { rows_per_s: decode_rows / dw, seconds: dw, threads: t },
+                entry(prefill_rows, pp),
+                entry(prefill_rows, pl),
+                entry(decode_rows, dp),
+                entry(decode_rows, dl),
+                entry(decode_rows, dpo),
+                entry(decode_rows, dw),
+                entry(stacked_rows, ds),
             ));
         });
     }
@@ -398,8 +455,16 @@ fn main() {
         .rfind(|r| r.0 <= max_threads)
         .or_else(|| rows.first())
         .expect("thread sweep is never empty");
-    let (_, prefill_parallel, prefill_lut, decode_parallel, decode_lut, decode_pooled, decode_w4a8) =
-        headline;
+    let (
+        _,
+        prefill_parallel,
+        prefill_lut,
+        decode_parallel,
+        decode_lut,
+        decode_pooled,
+        decode_w4a8,
+        decode_stacked,
+    ) = headline;
     // One-worker row: the scaling-efficiency denominator for every entry.
     let base = rows.first().expect("thread sweep is never empty");
     assert_eq!(base.0, 1, "thread sweep must start at one worker");
@@ -513,13 +578,14 @@ fn main() {
             "  \"{name}\": {{ \"rows_per_s\": {rows_per_s:.1}, \"seconds\": {secs:.6}, \"threads\": 1 }},\n"
         ));
     }
-    let (_, base_pp, base_pl, base_dp, base_dl, base_dpo, base_dw) = base;
+    let (_, base_pp, base_pl, base_dp, base_dl, base_dpo, base_dw, base_ds) = base;
     for (name, e, b) in [
         ("prefill_m128_parallel_prepared", prefill_parallel, base_pp),
         ("prefill_m128_lut", prefill_lut, base_pl),
         ("decode_m1x64_parallel_prepared", decode_parallel, base_dp),
         ("decode_m1x64_lut", decode_lut, base_dl),
         ("decode_m1x64_pooled", decode_pooled, base_dpo),
+        ("decode_m8x64_pooled", decode_stacked, base_ds),
         ("decode_m1x64_w4a8", decode_w4a8, base_dw),
     ] {
         json.push_str(&format!("  \"{name}\": {},\n", e.json(b)));
@@ -541,14 +607,15 @@ fn main() {
         "  \"w4a8_accuracy\": {{ \"ppl_fp_act\": {ppl_fp:.4}, \"ppl_w4a8\": {ppl_w4a8:.4}, \"delta_pct\": {w4a8_ppl_delta_pct:.3}, \"bound_pct\": {W4A8_PPL_BOUND_PCT} }},\n"
     ));
     json.push_str("  \"thread_sweep\": [\n");
-    for (i, (t, pp, pl, dp, dl, dpo, dw)) in rows.iter().enumerate() {
+    for (i, (t, pp, pl, dp, dl, dpo, dw, ds)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_lut\": {}, \"decode_m1x64_pooled\": {}, \"decode_m1x64_w4a8\": {} }}{}\n",
+            "    {{ \"threads\": {t}, \"prefill_m128_parallel_prepared\": {}, \"prefill_m128_lut\": {}, \"decode_m1x64_parallel_prepared\": {}, \"decode_m1x64_lut\": {}, \"decode_m1x64_pooled\": {}, \"decode_m8x64_pooled\": {}, \"decode_m1x64_w4a8\": {} }}{}\n",
             pp.json(base_pp),
             pl.json(base_pl),
             dp.json(base_dp),
             dl.json(base_dl),
             dpo.json(base_dpo),
+            ds.json(base_ds),
             dw.json(base_dw),
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -608,6 +675,19 @@ fn main() {
             }
             println!("strict gate ok: {key} {now:.1} rows/s vs baseline {base:.1}");
         }
+        // Stacked decode must earn its row blocking: per row, 8 stacked
+        // rows per call are at least as fast as one row per call.
+        if decode_stacked.rows_per_s < decode_pooled.rows_per_s {
+            eprintln!(
+                "FAIL: decode_m8x64_pooled {:.1} rows/s under decode_m1x64_pooled {:.1}",
+                decode_stacked.rows_per_s, decode_pooled.rows_per_s
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "strict gate ok: decode_m8x64_pooled {:.1} rows/s >= decode_m1x64_pooled {:.1}",
+            decode_stacked.rows_per_s, decode_pooled.rows_per_s
+        );
         if verify_overhead_pct >= 10.0 {
             eprintln!(
                 "FAIL: Sample(16) verification overhead {verify_overhead_pct:.2}% exceeds the 10% budget"

@@ -446,10 +446,25 @@ struct AxLutTable {
     /// i32 — packed planes are only selected when the activation format
     /// guarantees both fields fit (exponent field ≤ 255, `man_bits ≤ 12`
     /// so `|inc| < 2^15`). Quarter the bytes of the i64 layout: a unit's
-    /// per-group segment drops to 4 KB (L1-resident), and the 8-lane
-    /// AVX2 gather reads whole entries with one `vpgatherdd`. Empty for
+    /// per-group segment drops to 4 KB (L1-resident). Empty for
     /// byte-plane engines.
     tcomb: arena::ArenaVec<i32>,
+}
+
+/// Per-worker table of the AVX2 rung: the encoded activations of a block
+/// of up to [`axcore_simd::FOLD_ROWS`] rows (`bits[slot * k + kk]`) and
+/// one group's packed entries for each of them, laid out
+/// `((slot * units + unit) * group_size + kk) * code_space + code` — one
+/// group deep, rebuilt group by group right before each fold. A 16-entry
+/// row fills two `ymm` registers for the fold's in-register lookup.
+///
+/// Arena-recycled like [`AxLutTable`]: for each group the fold first
+/// rewrites the segments of every unit the shard's columns reference,
+/// for every row of the block, and reads only those; narrower-than-stride
+/// units are zero-filled at take time.
+struct AxFoldTable {
+    bits: arena::ArenaVec<u32>,
+    entries: arena::ArenaVec<i32>,
 }
 
 /// Unpack one packed LUT entry back into the partial adder's operands.
@@ -496,7 +511,7 @@ impl PreparedGemm for AxCorePrepared {
         }
         if use_lut {
             if self.planes.is_packed()
-                && self.avx2_gather_eligible()
+                && self.avx2_fold_eligible()
                 && !health::is_quarantined(Tier::Avx2Lut)
             {
                 ladder[len] = Tier::Avx2Lut;
@@ -522,8 +537,12 @@ impl PreparedGemm for AxCorePrepared {
                 continue;
             }
             // The panic guard runs at every policy (it costs nothing on
-            // the success path): a corrupted code plane can drive a
-            // gather index out of bounds, and that must degrade, not
+            // the success path). Weight codes never address memory on
+            // any rung — the AVX2 fold looks them up in registers, the
+            // scalar folds mask them to the table row — but corrupted
+            // indexing state can: a `block_unit` entry naming a unit
+            // past the table trips the fold's bounds checks (or a slice
+            // index on the scalar rungs), and that must degrade, not
             // take the process down.
             let ran = catch_unwind(AssertUnwindSafe(|| self.run_tier(tier, a, m, out)));
             if ran.is_err() {
@@ -573,13 +592,22 @@ impl PreparedGemm for AxCorePrepared {
     }
 
     fn fault_sites(&self) -> &'static [&'static str] {
-        &["lanes", "lut-addends", "planes", "scales"]
+        &[
+            "lanes",
+            "lut-addends",
+            "code-signs",
+            "block-unit",
+            "planes",
+            "scales",
+        ]
     }
 
     fn fault_surface(&self, site: &str) -> (usize, u32) {
         match site {
             "lanes" => (self.lanes.len(), 64),
             "lut-addends" => (self.code_addends.len(), 64),
+            "code-signs" => (self.code_signs.len(), 64),
+            "block-unit" => (self.block_unit.len(), 16),
             "planes" => (self.planes.raw_bytes(), 8),
             "scales" => (self.scales.len(), 16),
             _ => (0, 0),
@@ -594,6 +622,14 @@ impl PreparedGemm for AxCorePrepared {
             }
             "lut-addends" => {
                 self.code_addends[word] ^= 1 << (bit % 64);
+                true
+            }
+            "code-signs" => {
+                self.code_signs[word] ^= 1 << (bit % 64);
+                true
+            }
+            "block-unit" => {
+                self.block_unit[word] ^= 1 << (bit % 16);
                 true
             }
             "planes" => {
@@ -741,15 +777,19 @@ impl AxCorePrepared {
     /// LUT-tier path: per activation element, push the product against
     /// *every* weight code through the PreAdd → PE pipeline once, store
     /// it pre-split for the partial adder, and turn the column loop into
-    /// a code-plane gather. Entries come from the same units and lane
-    /// constants as the direct path and the gather accumulates in the
-    /// same ascending-k order per group, so results are bit-identical by
-    /// construction.
+    /// a gather. Entries come from the same units and lane constants as
+    /// the direct path and the gather accumulates in the same ascending-k
+    /// order per group, so results are bit-identical by construction.
     ///
-    /// `allow_avx2` gates the AVX2 gather kernel so the tier ladder can
-    /// address the SWAR fallback explicitly (a quarantined AVX2 tier must
-    /// not be re-entered through the generic dispatch).
+    /// `allow_avx2` gates the AVX2 rung ([`Self::gemm_lut_avx2`]) so the
+    /// tier ladder can address the SWAR fallback explicitly (a
+    /// quarantined AVX2 tier must not be re-entered through the generic
+    /// dispatch). The scalar rung below runs one row at a time.
     fn gemm_lut(&self, a: &[f32], m: usize, out: &mut [f32], allow_avx2: bool) {
+        if allow_avx2 && self.planes.is_packed() && self.avx2_fold_eligible() {
+            self.gemm_lut_avx2(a, m, out);
+            return;
+        }
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -766,11 +806,6 @@ impl AxCorePrepared {
         // which the quantizer never produces); zero-fill in that case.
         let needs_zero_fill = self.unit_cs.iter().any(|&ucs| ucs < cs);
         let packed = self.planes.is_packed();
-        // The FP16 vector stages (encode, table build, fused finish) run
-        // on the AVX2 rung only, and never while a transient fault plan
-        // is armed: the fused finish bypasses `NormUnit::normalize` and
-        // its accumulator tap, so such calls keep the tapped scalar path.
-        let fused = allow_avx2 && self.fused_fp16_eligible() && !reliability::faults::armed();
         let mk_table = || AxLutTable {
             bits: arena::take(k, 0u32),
             tbl: match (packed, needs_zero_fill) {
@@ -784,14 +819,9 @@ impl AxCorePrepared {
                 (true, false) => arena::take(nu * k * cs, 0i32),
             },
         };
-        let build = |t: &mut AxLutTable, i: usize, col0: usize, ncols: usize| {
-            let row = &a[i * k..(i + 1) * k];
-            if fused {
-                axcore_simd::encode_fp16(row, &mut t.bits[..]);
-            } else {
-                for (kk, &av) in row.iter().enumerate() {
-                    t.bits[kk] = self.act.encode(av as f64);
-                }
+        let build = |t: &mut AxLutTable, _slot: usize, i: usize, col0: usize, ncols: usize| {
+            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                t.bits[kk] = self.act.encode(av as f64);
             }
             for g in 0..groups {
                 // Shard-restricted build: only the units referenced by
@@ -802,52 +832,18 @@ impl AxCorePrepared {
                 while mask != 0 {
                     let u = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let preadd = &self.units[u].1;
-                    if fused {
-                        // Every unit spans exactly 16 codes here, so the
-                        // unit's rows are its two tie rows and sign row.
-                        axcore_simd::build_rows_fp16(
-                            &t.bits[g * gs..(g + 1) * gs],
-                            preadd.c1(),
-                            &self.code_addends[2 * u * cs..2 * (u + 1) * cs],
-                            &self.code_signs[u * cs..(u + 1) * cs],
-                            &mut t.tcomb[(u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs],
-                        );
+                    if packed {
+                        let bits = &t.bits[g * gs..(g + 1) * gs];
+                        let seg = (u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs;
+                        self.build_packed_rows(bits, u, false, &mut t.tcomb[seg]);
                         continue;
                     }
+                    let preadd = &self.units[u].1;
                     let ucs = self.unit_cs[u];
                     let signs = &self.code_signs[u * cs..u * cs + ucs];
                     for kk in g * gs..(g + 1) * gs {
                         let term = preadd.term(t.bits[kk]);
                         let base = (u * k + kk) * cs;
-                        if packed {
-                            // Combined i32 entries: `(exp << 16) | inc`
-                            // as u16 halves — both fit by the packed-
-                            // plane selection gate (exp field ≤ 255,
-                            // `|inc| < 2^15` for `man_bits ≤ 12`).
-                            let crow = &mut t.tcomb[base..base + ucs];
-                            if term.zero {
-                                // Guard zero: every code's product is zero.
-                                crow.fill(0);
-                                continue;
-                            }
-                            let v = (u * 2 + term.stochastic_bit as usize) * cs;
-                            let addends = &self.code_addends[v..v + ucs];
-                            let tsign = -(term.sign as i64);
-                            for ((slot, &addend), &wsign) in
-                                crow.iter_mut().zip(addends).zip(signs)
-                            {
-                                let r = (term.t + addend).min(max_mag);
-                                let mag = if r < min_normal { 0 } else { r };
-                                let nz = -((mag != 0) as i64);
-                                let s = tsign ^ wsign;
-                                let val = ((mag & man_mask) | min_normal) << 2;
-                                let inc = ((val ^ s) - s) & nz;
-                                *slot = (((mag >> man_bits) as i32) << 16)
-                                    | ((inc as i32) & 0xffff);
-                            }
-                            continue;
-                        }
                         let row = &mut t.tbl[base..base + ucs];
                         if term.zero {
                             // Guard zero: every code's product is zero.
@@ -887,12 +883,8 @@ impl AxCorePrepared {
         // bit-identical by construction and the packed-vs-byte gather
         // test pins it.
         if self.act.max_exp_field() < 64 {
-            let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
-                if self.planes.is_packed() {
-                    if allow_avx2 && self.avx2_gather_eligible() {
-                        self.lut_gather_cols_packed_avx2(t, col0, cols, fused);
-                        return;
-                    }
+            let gather = |t: &mut AxLutTable, _row0, _rows, col0: usize, cols: &mut [f32]| {
+                if packed {
                     self.lut_gather_cols_packed(t, col0, cols, |acc, e| {
                         acc.add_prepared_unclamped_seq(split_entry(e))
                     });
@@ -902,10 +894,10 @@ impl AxCorePrepared {
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, out, mk_table, build, gather);
+            drive_lut(m, k, n, self.block_cols, 1, out, mk_table, build, gather);
         } else {
-            let gather = |t: &AxLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
-                if self.planes.is_packed() {
+            let gather = |t: &mut AxLutTable, _row0, _rows, col0: usize, cols: &mut [f32]| {
+                if packed {
                     self.lut_gather_cols_packed(t, col0, cols, |acc, e| {
                         acc.add_prepared(split_entry(e))
                     });
@@ -915,8 +907,108 @@ impl AxCorePrepared {
                     });
                 }
             };
-            drive_lut(m, k, n, self.block_cols, out, mk_table, build, gather);
+            drive_lut(m, k, n, self.block_cols, 1, out, mk_table, build, gather);
         }
+    }
+
+    /// One unit's packed entries for one group of one activation row:
+    /// `bits` holds the group's encoded elements and `dst` gets their
+    /// rows of `code_space` combined entries, `(exp << 16) | (inc as
+    /// u16)` — both fit by the packed-plane selection gate (exp field
+    /// ≤ 255, `|inc| < 2^15` for `man_bits ≤ 12`). Per element: the
+    /// PreAdd term, the tie variant picked by its stochastic bit, and the
+    /// straight-line clamp + split per code — exactly `Pe::multiply` +
+    /// `PreparedProduct::new`, with zero products falling out of the
+    /// clamp (the `nz` mask) instead of branching. With `fused` the FP16
+    /// vector build writes the same entries (every unit spans exactly 16
+    /// codes there, so its rows are its two tie rows and sign row).
+    fn build_packed_rows(&self, bits: &[u32], u: usize, fused: bool, dst: &mut [i32]) {
+        let cs = self.code_space;
+        let preadd = &self.units[u].1;
+        if fused {
+            axcore_simd::build_rows_fp16(
+                bits,
+                preadd.c1(),
+                &self.code_addends[2 * u * cs..2 * (u + 1) * cs],
+                &self.code_signs[u * cs..(u + 1) * cs],
+                dst,
+            );
+            return;
+        }
+        let min_normal = 1i64 << self.act.man_bits;
+        let max_mag =
+            ((self.act.max_exp_field() as i64) << self.act.man_bits) | self.act.man_mask() as i64;
+        let man_bits = self.act.man_bits;
+        let man_mask = self.act.man_mask() as i64;
+        let ucs = self.unit_cs[u];
+        let signs = &self.code_signs[u * cs..u * cs + ucs];
+        for (&b, row) in bits.iter().zip(dst.chunks_exact_mut(cs)) {
+            let term = preadd.term(b);
+            let crow = &mut row[..ucs];
+            if term.zero {
+                // Guard zero: every code's product is zero.
+                crow.fill(0);
+                continue;
+            }
+            let v = (u * 2 + term.stochastic_bit as usize) * cs;
+            let addends = &self.code_addends[v..v + ucs];
+            let tsign = -(term.sign as i64);
+            for ((slot, &addend), &wsign) in crow.iter_mut().zip(addends).zip(signs) {
+                let r = (term.t + addend).min(max_mag);
+                let mag = if r < min_normal { 0 } else { r };
+                let nz = -((mag != 0) as i64);
+                let s = tsign ^ wsign;
+                let val = ((mag & man_mask) | min_normal) << 2;
+                let inc = ((val ^ s) - s) & nz;
+                *slot = (((mag >> man_bits) as i32) << 16) | ((inc as i32) & 0xffff);
+            }
+        }
+    }
+
+    /// The AVX2 rung of the LUT tier: rows run in blocks of up to
+    /// [`axcore_simd::FOLD_ROWS`], and each block is folded group by
+    /// group ([`Self::lut_fold_cols_avx2`]) — the weight-stationary form:
+    /// every decoded weight code serves the whole block. Per row only the
+    /// activation encode runs up front; a group's entries are built for
+    /// the whole block right before that group is folded, so the table
+    /// is one group deep and L1-hot when read.
+    ///
+    /// The FP16 vector stages (encode, table build, fused finish) run
+    /// when [`Self::fused_fp16_eligible`] holds, and never while a
+    /// transient fault plan is armed: the fused finish bypasses
+    /// `NormUnit::normalize` and its accumulator tap, so such calls keep
+    /// the tapped scalar stages around the same fold.
+    fn gemm_lut_avx2(&self, a: &[f32], m: usize, out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        let block = axcore_simd::FOLD_ROWS;
+        let fused = self.fused_fp16_eligible() && !reliability::faults::armed();
+        let slot_len = self.units.len() * self.group_size * self.code_space;
+        // As in the scalar rung: zero-fill when a unit's code space is
+        // narrower than the table stride.
+        let needs_zero_fill = self.unit_cs.iter().any(|&ucs| ucs < self.code_space);
+        let mk_table = || AxFoldTable {
+            bits: arena::take(block * k, 0u32),
+            entries: if needs_zero_fill {
+                arena::take_filled(block * slot_len, 0i32)
+            } else {
+                arena::take(block * slot_len, 0i32)
+            },
+        };
+        let encode = |t: &mut AxFoldTable, slot: usize, i: usize, _col0: usize, _cols: usize| {
+            let row = &a[i * k..(i + 1) * k];
+            let bits = &mut t.bits[slot * k..(slot + 1) * k];
+            if fused {
+                axcore_simd::encode_fp16(row, bits);
+            } else {
+                for (b, &av) in bits.iter_mut().zip(row) {
+                    *b = self.act.encode(av as f64);
+                }
+            }
+        };
+        let fold = |t: &mut AxFoldTable, _row0, rows: usize, col0: usize, out: &mut [f32]| {
+            self.lut_fold_cols_avx2(t, rows, col0, out, fused);
+        };
+        drive_lut(m, k, n, self.block_cols, block, out, mk_table, encode, fold);
     }
 
     /// The format units referenced by output columns
@@ -1055,8 +1147,8 @@ impl AxCorePrepared {
     /// traffic halves; per-lane accumulation order is still ascending
     /// k, so results are bit-identical to the byte-plane gather.
     ///
-    /// This is the portable scalar form; on x86-64 with AVX2 the decode
-    /// hot path takes [`Self::lut_gather_cols_packed_avx2`] instead.
+    /// This is the portable scalar form (the SWAR rung); on x86-64 with
+    /// AVX2 the LUT tier takes [`Self::lut_fold_cols_avx2`] instead.
     fn lut_gather_cols_packed(
         &self,
         t: &AxLutTable,
@@ -1211,14 +1303,14 @@ impl AxCorePrepared {
         }
     }
 
-    /// Whether the decode hot path can take the 8-lane AVX2 gather in
+    /// Whether the AVX2 rung can take the 8-lane row-block fold in
     /// [`axcore_simd`]: requires the standard 16-entry code space, a
     /// group depth that fills whole u64 code words, accumulator
     /// significands that provably fit the kernel's i32 lanes
     /// (`gs · 2^(man_bits+3)` bounds the running sum), runtime AVX2
     /// support, and a passing one-shot kernel self-test (a faulty vector
     /// unit demotes the tier instead of corrupting silently).
-    fn avx2_gather_eligible(&self) -> bool {
+    fn avx2_fold_eligible(&self) -> bool {
         self.code_space == 16
             && self.group_size.is_multiple_of(16)
             && (self.group_size as u64) << (self.act.man_bits + 3) <= 1 << 31
@@ -1227,39 +1319,42 @@ impl AxCorePrepared {
     }
 
     /// Whether the AVX2 rung also takes the FP16 vector stages around the
-    /// gather ([`axcore_simd::encode_fp16`],
-    /// [`axcore_simd::build_rows_fp16`] and the fused finish
-    /// [`axcore_simd::gather_group_planes_finish_fp16`]): FP16
+    /// fold ([`axcore_simd::encode_fp16`], [`axcore_simd::build_rows_fp16`]
+    /// and the fused finish [`axcore_simd::fold_rows_finish_fp16`]): FP16
     /// activations, FPMA dequantization, packed planes with every unit
-    /// on the full 16-code space, on top of the gather's own eligibility
-    /// — which includes the one-shot self-test covering all four
-    /// kernels. BF16 and the exact-dequant ablation keep the scalar
-    /// stages.
+    /// on the full 16-code space, on top of the fold's own eligibility
+    /// — which includes the one-shot self-test covering every kernel.
+    /// BF16 and the exact-dequant ablation keep the scalar stages and
+    /// the fold's unfused `(sig, exp)` form.
     fn fused_fp16_eligible(&self) -> bool {
         self.act == FP16
             && self.fpma_dequant
             && self.planes.is_packed()
             && self.unit_cs.iter().all(|&c| c == 16)
-            && self.avx2_gather_eligible()
+            && self.avx2_fold_eligible()
     }
 
-    /// AVX2 form of [`Self::lut_gather_cols_packed`]: eight columns per
-    /// tile, with the per-step table lookups fused into one
-    /// `vpgatherdd` over the combined i32 entry plane and the partial
-    /// adder run branchlessly in 8 × i32 vector lanes (see
-    /// [`axcore_simd::gather_group`] for the bit-identity argument).
-    /// With `fused` the tile's Norm → AxScale → decode epilogue runs in
-    /// the same kernel ([`axcore_simd::gather_group_planes_finish_fp16`],
-    /// bit-identical to the scalar `finish` below); otherwise the lanes
-    /// come back and finish one by one.
-    /// Tiles sweep in plain ascending order: at 4 bytes per entry all
-    /// units' segments for one group fit L1 together, so the scalar
-    /// path's unit-ordered visit is unnecessary here.
-    fn lut_gather_cols_packed_avx2(
+    /// AVX2 fold over the nibble-packed planes for a block of `rows`
+    /// activation rows, whose encoded activations sit in `t.bits`; row
+    /// `r`'s outputs are `out[r * cols..(r + 1) * cols]`, `cols =
+    /// out.len() / rows`. Group by group: first the group's entries are
+    /// built for every row of the block (only the units this shard's
+    /// columns reference), then each 8-column tile is one
+    /// [`axcore_simd::fold_rows`] call — the kernel decodes the tile's
+    /// codes once for the whole block and looks entries up in registers;
+    /// a tile spanning several units is handled inside the kernel, which
+    /// groups its lanes by the unit segment `block_unit` names. With
+    /// `fused` the Norm → AxScale → decode epilogue runs in the same
+    /// kernel ([`axcore_simd::fold_rows_finish_fp16`], bit-identical to
+    /// the scalar `finish` below); otherwise the lanes come back and
+    /// finish one by one. Groups are visited in ascending order, so each
+    /// column adds its group partials in the direct path's order.
+    fn lut_fold_cols_avx2(
         &self,
-        t: &AxLutTable,
+        t: &mut AxFoldTable,
+        rows: usize,
         col0: usize,
-        cols: &mut [f32],
+        out: &mut [f32],
         fused: bool,
     ) {
         const LANES: usize = 8;
@@ -1268,6 +1363,10 @@ impl AxCorePrepared {
         let groups = k / gs;
         let nbc = n / self.block_cols;
         let cs = self.code_space;
+        let cols = out.len() / rows;
+        // One row's slot: one group's segment of every unit.
+        let seg = gs * cs;
+        let slot_len = self.units.len() * seg;
         debug_assert!(cs == 16 && gs.is_multiple_of(16));
         let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
             let o_bits = self.norm.normalize(pacc);
@@ -1280,65 +1379,102 @@ impl AxCorePrepared {
         };
         // This worker's contiguous slice of the nibble-packed planes:
         // the vector kernel receives only these bytes, so a lane can
-        // never gather codes from another shard's columns.
-        let planes = self.planes.shard(col0, cols.len());
-        cols.fill(0.0);
-        let full_tiles = cols.len() / LANES;
+        // never read codes from another shard's columns.
+        let planes = self.planes.shard(col0, cols);
+        let seg_len = gs / 2;
+        out.fill(0.0);
+        let full_tiles = cols / LANES;
         for g in 0..groups {
-            let seg0 = g * gs / 2;
-            let seg_len = gs / 2;
+            // Shard-restricted build: only the units referenced by the
+            // columns this worker folds. Other units' segments stay stale
+            // and are never read.
+            let units = self.shard_unit_mask(g, col0, cols);
+            crate::kmetrics::record_lut_build(|| {
+                for slot in 0..rows {
+                    let bits = &t.bits[slot * k + g * gs..slot * k + (g + 1) * gs];
+                    let mut mask = units;
+                    while mask != 0 {
+                        let u = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        let dst = slot * slot_len + u * seg;
+                        self.build_packed_rows(bits, u, fused, &mut t.entries[dst..dst + seg]);
+                    }
+                }
+            });
+            // Exactly the block's slots: a unit index past the table
+            // fails the kernel's bounds check even on the last row.
+            let table = &t.entries[..rows * slot_len];
+            // Walk the block columns incrementally (no division per lane).
+            let (mut bc, mut in_bc) = (col0 / self.block_cols, col0 % self.block_cols);
             for tile in 0..full_tiles {
                 let j = tile * LANES;
                 let mut bases = [0i32; LANES];
                 let mut offsets = [0usize; LANES];
                 for (l, base) in bases.iter_mut().enumerate() {
-                    let col = col0 + j + l;
-                    let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
-                    *base = ((u * k + g * gs) * cs) as i32;
-                    offsets[l] = planes.offset_of(col) + seg0;
+                    let u = self.block_unit[g * nbc + bc] as usize;
+                    // A base past i32 (a corrupt `block_unit`) saturates,
+                    // so the fold's bounds check rejects it.
+                    *base = i32::try_from(u * seg).unwrap_or(i32::MAX);
+                    offsets[l] = planes.offset_of(col0 + j + l) + g * seg_len;
+                    in_bc += 1;
+                    if in_bc == self.block_cols {
+                        (bc, in_bc) = (bc + 1, 0);
+                    }
                 }
                 if fused {
                     let sc = g * n + col0 + j;
-                    // Both slices are exactly LANES long by construction,
-                    // so the array conversions cannot fail.
+                    // The slice is exactly LANES long by construction, so
+                    // the array conversion cannot fail.
                     #[allow(clippy::unwrap_used)]
-                    axcore_simd::gather_group_planes_finish_fp16(
-                        &t.tcomb,
+                    axcore_simd::fold_rows_finish_fp16(
+                        table,
+                        slot_len,
+                        rows,
                         &bases,
                         planes.bytes(),
                         &offsets,
                         seg_len,
                         self.scales[sc..sc + LANES].try_into().unwrap(),
                         self.axscale.c2(),
-                        (&mut cols[j..j + LANES]).try_into().unwrap(),
+                        &mut out[j..],
+                        cols,
                     );
                     continue;
                 }
-                let (sig, exp) = axcore_simd::gather_group_planes(
-                    &t.tcomb,
+                let (sig, exp) = axcore_simd::fold_rows(
+                    table,
+                    slot_len,
+                    rows,
                     &bases,
                     planes.bytes(),
                     &offsets,
                     seg_len,
                 );
-                for l in 0..LANES {
-                    let acc = PartialAcc::from_parts(exp[l], sig[l] as i64, self.act);
-                    cols[j + l] += finish(&acc, g, col0 + j + l);
+                for r in 0..rows {
+                    for l in 0..LANES {
+                        let acc = PartialAcc::from_parts(exp[r][l], sig[r][l] as i64, self.act);
+                        out[r * cols + j + l] += finish(&acc, g, col0 + j + l);
+                    }
                 }
             }
-            // Remainder columns (< LANES) run the scalar seq chain on
-            // the same entries.
-            for (jj, col) in cols.iter_mut().enumerate().skip(full_tiles * LANES) {
-                let u = self.block_unit[g * nbc + (col0 + jj) / self.block_cols] as usize;
-                let es = &t.tcomb[(u * k + g * gs) * cs..(u * k + (g + 1) * gs) * cs];
-                let cd = &planes.plane(col0 + jj)[g * gs / 2..(g + 1) * gs / 2];
-                let mut pacc = PartialAcc::new(self.act);
-                for (bi, &byte) in cd.iter().enumerate() {
-                    let row = 2 * bi * cs;
-                    pacc.add_prepared_unclamped_seq(split_entry(es[row + (byte as usize & 0xf)]));
-                    pacc.add_prepared_unclamped_seq(split_entry(es[row + cs + (byte as usize >> 4)]));
+            // Remainder columns (< LANES) run the scalar chain on the
+            // same entries, with the saturating adder (this rung also
+            // serves BF16, whose exponent gaps can pass 63).
+            for r in 0..rows {
+                let rt = &table[r * slot_len..(r + 1) * slot_len];
+                for jj in full_tiles * LANES..cols {
+                    let col = col0 + jj;
+                    let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
+                    let es = &rt[u * seg..(u + 1) * seg];
+                    let cd = &planes.plane(col)[g * seg_len..(g + 1) * seg_len];
+                    let mut pacc = PartialAcc::new(self.act);
+                    for (bi, &byte) in cd.iter().enumerate() {
+                        let row = 2 * bi * cs;
+                        pacc.add_prepared(split_entry(es[row + (byte as usize & 0xf)]));
+                        pacc.add_prepared(split_entry(es[row + cs + (byte as usize >> 4)]));
+                    }
+                    out[r * cols + jj] += finish(&pacc, g, col);
                 }
-                *col += finish(&pacc, g, col0 + jj);
             }
         }
     }

@@ -279,7 +279,7 @@ impl FpmaPrepared {
         // weight pattern), so a shard cannot build less than all of it;
         // the column range is ignored and each shard builds the full
         // table in its own arena slot, in parallel.
-        let build = |t: &mut FpmaLutTable, i: usize, _col0: usize, _ncols: usize| {
+        let build = |t: &mut FpmaLutTable, _slot: usize, i: usize, _col0: usize, _cols: usize| {
             for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 t.arow[kk] = self.act.encode(av as f64);
             }
@@ -290,7 +290,7 @@ impl FpmaPrepared {
                 }
             }
         };
-        let gather = |t: &FpmaLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
+        let gather = |t: &mut FpmaLutTable, _row0, _rows, col0: usize, cols: &mut [f32]| {
             for (j, o) in cols.iter_mut().enumerate() {
                 let c = col0 + j;
                 let idxs = &self.pidx[c * k..(c + 1) * k];
@@ -303,7 +303,7 @@ impl FpmaPrepared {
                 *o = self.acc_fmt.decode(acc_bits) as f32;
             }
         };
-        drive_lut(m, k, n, 1, out, mk_table, build, gather);
+        drive_lut(m, k, n, 1, 1, out, mk_table, build, gather);
     }
 }
 

@@ -282,7 +282,7 @@ impl IntFpPrepared {
         // per k element), independent of which columns gather from it, so
         // the shard's column range is ignored: each shard builds the full
         // table in its own arena slot, in parallel.
-        let build = |t: &mut IntFpLutTable, i: usize, _col0: usize, _ncols: usize| {
+        let build = |t: &mut IntFpLutTable, _slot: usize, i: usize, _col0: usize, _cols: usize| {
             for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 t.arow[kk] = self.act.quantize(av as f64);
             }
@@ -301,7 +301,7 @@ impl IntFpPrepared {
         // The `try_into().unwrap()` below converts an exactly-8-byte
         // slice, so it cannot fail.
         #[allow(clippy::unwrap_used)]
-        let gather = |t: &IntFpLutTable, _i: usize, col0: usize, cols: &mut [f32]| {
+        let gather = |t: &mut IntFpLutTable, _row0, _rows, col0: usize, cols: &mut [f32]| {
             // This worker's contiguous slice of the offset planes.
             let planes = self.planes.shard(col0, cols.len());
             for (j, o) in cols.iter_mut().enumerate() {
@@ -341,7 +341,7 @@ impl IntFpPrepared {
                 *o = acc;
             }
         };
-        drive_lut(m, k, n, 1, out, mk_table, build, gather);
+        drive_lut(m, k, n, 1, 1, out, mk_table, build, gather);
     }
 }
 

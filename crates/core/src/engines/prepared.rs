@@ -225,18 +225,32 @@ pub(crate) fn drive<S, MkS, F>(
 /// Drive a LUT-tier GEMM kernel over the output, sharded by columns.
 ///
 /// Like [`drive`], but each row's work is split into a table **build**
-/// (`build(table, row, col0, cols)` — the per-activation-element product
-/// tables, amortized over the columns `col0 .. col0 + cols` the worker
-/// will gather) and a column **gather** (`gather(table, row, col0, cols)`
-/// — pure table lookups + accumulate).
+/// (`build(table, slot, row, col0, cols)` — row `row`'s per-activation-
+/// element product tables, written to the table's row slot `slot` and
+/// amortized over the columns `col0 .. col0 + cols` the worker will
+/// fold) and a column **fold** (`fold(table, row0, rows, col0, out)` —
+/// table lookups + accumulate for the `rows` rows from `row0`, whose
+/// builds sit in slots `0 .. rows`). A kernel may also leave part of the
+/// build to its fold: AxCore's AVX2 rung only encodes each row in
+/// `build` and fills a group's entries for the whole block right before
+/// folding that group.
 ///
-/// Each shard builds the row table **in its own arena slot** restricted
-/// to its column range (engines whose table segments are per-format-unit
-/// build only the units their columns reference; engines with global
-/// tables ignore the range). That moves the build onto the parallel
-/// region — the pre-shard dispatch built one shared table serially on
-/// the submitting thread — and the stable shard→thread affinity keeps
-/// each shard's table in the same thread-local arena call after call, so
+/// Rows run in blocks of up to `block` (the number of row slots
+/// `mk_table` provides): every row of a block is built, then the block
+/// is folded in one pass, so a kernel can decode each weight code once
+/// and reuse it across the block's rows — the weight-stationary reuse
+/// of the paper's array. `out` holds the block's `rows × cols` outputs,
+/// row-major: the block's rows of the output matrix on the serial path,
+/// a staging buffer copied out row by row on a shard (a single row
+/// folds straight into the shard's view). Every output element still
+/// depends only on its own row, so blocking changes no result bit.
+///
+/// Each shard builds its rows' tables **in its own arena slot**
+/// restricted to its column range (engines whose table segments are
+/// per-format-unit build only the units their columns reference;
+/// engines with global tables ignore the range). That keeps the build on
+/// the parallel region, and the stable shard→thread affinity keeps each
+/// shard's table in the same thread-local arena call after call, so
 /// steady-state decode still allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_lut<T, MkT, B, G>(
@@ -244,15 +258,16 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     k: usize,
     n: usize,
     col_align: usize,
+    block: usize,
     out: &mut [f32],
     mk_table: MkT,
     build: B,
-    gather: G,
+    fold: G,
 ) where
     T: Send + Sync,
     MkT: Fn() -> T + Sync,
-    B: Fn(&mut T, usize, usize, usize) + Sync,
-    G: Fn(&T, usize, usize, &mut [f32]) + Sync,
+    B: Fn(&mut T, usize, usize, usize, usize) + Sync,
+    G: Fn(&mut T, usize, usize, usize, &mut [f32]) + Sync,
 {
     if m == 0 || n == 0 {
         return;
@@ -260,19 +275,37 @@ pub(crate) fn drive_lut<T, MkT, B, G>(
     let plan = shard_plan(m, k, n, col_align);
     if plan.num_shards() <= 1 {
         let mut table = mk_table();
-        for (i, row_out) in out.chunks_mut(n).enumerate() {
-            crate::kmetrics::record_lut_build(|| build(&mut table, i, 0, n));
-            gather(&table, i, 0, row_out);
+        for (b, rows_out) in out.chunks_mut(block * n).enumerate() {
+            let (row0, rows) = (b * block, rows_out.len() / n);
+            for slot in 0..rows {
+                crate::kmetrics::record_lut_build(|| build(&mut table, slot, row0 + slot, 0, n));
+            }
+            fold(&mut table, row0, rows, 0, rows_out);
         }
         return;
     }
     axcore_parallel::par_shards_with(out, m, &plan, &mk_table, |t, sh, view| {
-        for i in 0..m {
+        // A `ShardSlice` lends one output row at a time, so multi-row
+        // blocks fold into this staging buffer first.
+        let mut staged =
+            axcore_parallel::arena::take(if block > 1 { block * sh.cols } else { 0 }, 0f32);
+        for row0 in (0..m).step_by(block) {
             if axcore_parallel::cancel_requested() {
                 return;
             }
-            crate::kmetrics::record_lut_build(|| build(t, i, sh.col0, sh.cols));
-            gather(t, i, sh.col0, view.row(i));
+            let rows = block.min(m - row0);
+            for slot in 0..rows {
+                crate::kmetrics::record_lut_build(|| build(t, slot, row0 + slot, sh.col0, sh.cols));
+            }
+            if rows == 1 {
+                fold(t, row0, 1, sh.col0, view.row(row0));
+                continue;
+            }
+            let buf = &mut staged[..rows * sh.cols];
+            fold(t, row0, rows, sh.col0, buf);
+            for (r, src) in buf.chunks_exact(sh.cols).enumerate() {
+                view.row(row0 + r).copy_from_slice(src);
+            }
         }
     });
 }

@@ -4,7 +4,7 @@
 //! AxCore's premise is *designed* approximation error (FPMA bias, SNC
 //! rounding). This module gives the stack the means to tell that apart
 //! from *undesigned* error — bit flips in prepared weight state, a bug in
-//! the AVX2 gathers, a worker dying mid-tile. Three mechanisms compose:
+//! the AVX2 kernels, a worker dying mid-tile. Three mechanisms compose:
 //!
 //! * **Integrity checksums** over weight-derived prepared state. A
 //!   sequential mix fold in which every step is a bijection of the

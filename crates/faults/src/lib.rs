@@ -218,12 +218,13 @@ fn roster() -> Vec<(Box<dyn GemmEngine>, QuantFormat)> {
 }
 
 /// LUT-policy pin per fault site, so the tier that actually *reads* the
-/// corrupted state is the one exercised: LUT-side surfaces force the LUT
-/// tiers on, the direct tier's stationary lanes force them off, shared
-/// surfaces run the default dispatch.
+/// corrupted state is the one exercised: LUT-side surfaces — and the
+/// block→unit index that addresses the LUT fold's table segments — force
+/// the LUT tiers on, the direct tier's stationary lanes force them off,
+/// other shared surfaces run the default dispatch.
 fn policy_for(site: &str) -> LutPolicy {
     match site {
-        "planes" | "lut-addends" | "palette" => LutPolicy::Always,
+        "planes" | "lut-addends" | "code-signs" | "block-unit" | "palette" => LutPolicy::Always,
         "lanes" => LutPolicy::Never,
         _ => LutPolicy::Auto,
     }

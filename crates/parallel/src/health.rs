@@ -29,7 +29,8 @@ pub enum Tier {
     /// fold-in; opt-in via `AXCORE_ACT` — the only *lossy* tier, so it
     /// sits above the bit-exact ladder and degrades into it).
     W4a8,
-    /// Packed-plane LUT gather via the AVX2 `vpgatherdd` kernel.
+    /// Packed-plane LUT fold via the AVX2 row-block kernel (in-register
+    /// table lookup).
     Avx2Lut,
     /// Packed-plane LUT gather via the scalar SWAR fold.
     SwarLut,

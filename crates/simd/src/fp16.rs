@@ -1,6 +1,6 @@
-//! FP16-specialised stages of the AxCore LUT tier around the gather: the
+//! FP16-specialised stages of the AxCore LUT tier around the fold: the
 //! activation encoder, the per-element table build and the fused
-//! Norm → AxScale finish on the gather's accumulator lanes.
+//! Norm → AxScale finish on the fold's accumulator lanes.
 //!
 //! Each stage has a public scalar reference here (the bit-exactness
 //! oracle the vector kernel is tested against) and an AVX2 kernel behind
@@ -359,8 +359,8 @@ pub fn scalar_finish_fp16(sig: i32, exp: i32, scale: u16, c2: i32) -> f32 {
     f32::from_bits((sign << 16) | f)
 }
 
-/// Finish eight accumulator lanes — `(sig, exp)` as the gather returns
-/// them — into `f32` group partials and add them into `out`:
+/// Finish eight accumulator lanes — one row's `(sig, exp)` as the fold
+/// returns them — into `f32` group partials and add them into `out`:
 /// `out[l] += scalar_finish_fp16(sig[l], exp[l], scales[l], c2)`,
 /// bit-identical to that reference, running the AVX2 kernel when the
 /// CPU has AVX2.
@@ -387,44 +387,97 @@ pub fn finish_fp16(
     }
 }
 
-/// [`crate::gather_group_planes`] with the [`finish_fp16`] epilogue
-/// fused on: fold one group × eight columns, then normalize, AxScale and
-/// widen the eight lanes and add them into the eight columns' outputs.
-/// On the AVX2 path the accumulator lanes never leave vector registers.
-/// Bit-identical to `gather_group_planes` followed by [`finish_fp16`]
-/// (the vector fold's `exp` may differ on `sig == 0` lanes, which the
-/// finish maps to the same signed zero whatever their anchor).
+/// [`crate::fold_rows`] with the [`finish_fp16`] epilogue fused on: fold
+/// one group × eight columns for a block of `rows` activation rows, then
+/// normalize, AxScale and widen each row's eight lanes and add them into
+/// that row's outputs, `out[r * out_stride..r * out_stride + 8]`. The
+/// eight columns' `scales` serve every row. On the AVX2 path the
+/// accumulator lanes never leave vector registers. Bit-identical to
+/// `fold_rows` followed by [`scalar_finish_fp16`] per lane (the vector
+/// fold's `exp` may differ on `sig == 0` lanes, which the finish maps to
+/// the same signed zero whatever their anchor).
 ///
 /// # Panics
 ///
-/// Panics on [`crate::gather_group_planes`]'s bounds violations.
+/// Panics on [`crate::fold_rows`]'s bounds violations, or unless every
+/// row's eight outputs lie inside `out`.
 #[allow(clippy::too_many_arguments)]
-pub fn gather_group_planes_finish_fp16(
+pub fn fold_rows_finish_fp16(
     table: &[i32],
+    row_stride: usize,
+    rows: usize,
     bases: &[i32; 8],
     planes: &[u8],
     offsets: &[usize; 8],
     seg_len: usize,
     scales: &[u16; 8],
     c2: i32,
-    out: &mut [f32; 8],
+    out: &mut [f32],
+    out_stride: usize,
 ) {
-    let codes: [&[u8]; 8] = std::array::from_fn(|l| &planes[offsets[l]..offsets[l] + seg_len]);
-    crate::check_gather_bounds(table, bases, &codes);
+    crate::check_fold_bounds(table, row_stride, rows, bases, planes, offsets, seg_len);
+    assert!(
+        (rows - 1).saturating_mul(out_stride).saturating_add(8) <= out.len(),
+        "{rows} rows of 8 outputs at stride {out_stride} escape out of {}",
+        out.len()
+    );
     #[cfg(target_arch = "x86_64")]
     if seg_len.is_multiple_of(8) && crate::avx2_available() {
-        // SAFETY: AVX2 confirmed at runtime; code slices are equal-length
-        // multiples of 8 and every lane's table segment was bounds-checked
-        // above — `avx2_fold`'s contract.
+        let units = crate::LaneUnits::of(bases);
+        let (t, rs, p, o, sl) = (table, row_stride, planes, offsets, seg_len);
+        // SAFETY: AVX2 confirmed at runtime; `seg_len` is a multiple of
+        // 8 and every code and table segment was bounds-checked above —
+        // `avx2_fold`'s contract.
         unsafe {
-            let (sig, exp) = crate::avx2_fold(table, bases, &codes);
-            avx2_finish_add(sig, exp, scales, c2, out);
+            match rows {
+                1 => avx2_fold_finish::<1>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
+                2 => avx2_fold_finish::<2>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
+                3 => avx2_fold_finish::<3>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
+                _ => avx2_fold_finish::<4>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
+            }
         }
         return;
     }
-    let (sig, exp) = crate::scalar_gather_group(table, bases, &codes);
-    for l in 0..8 {
-        out[l] += scalar_finish_fp16(sig[l], exp[l], scales[l], c2);
+    let (sig, exp) = crate::fold_rows(table, row_stride, rows, bases, planes, offsets, seg_len);
+    for r in 0..rows {
+        for l in 0..8 {
+            out[r * out_stride + l] += scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], c2);
+        }
+    }
+}
+
+/// [`fold_rows_finish_fp16`]'s vector path for `R` rows: the fold, then
+/// [`avx2_finish_add`] on each row's lanes straight from registers.
+///
+/// # Safety
+///
+/// `crate::avx2_fold`'s contract; the row outputs are slice-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx2_fold_finish<const R: usize>(
+    table: &[i32],
+    row_stride: usize,
+    units: &crate::LaneUnits,
+    planes: &[u8],
+    offsets: &[usize; 8],
+    seg_len: usize,
+    scales: &[u16; 8],
+    c2: i32,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let (sig, exp) = if units.is_mixed() {
+        crate::avx2_fold::<R, true>(table, row_stride, units, planes, offsets, seg_len)
+    } else {
+        crate::avx2_fold::<R, false>(table, row_stride, units, planes, offsets, seg_len)
+    };
+    for r in 0..R {
+        let o = r * out_stride;
+        // The slice is exactly 8 long, so the conversion cannot fail.
+        #[allow(clippy::unwrap_used)]
+        let row: &mut [f32; 8] = (&mut out[o..o + 8]).try_into().unwrap();
+        avx2_finish_add(sig[r], exp[r], scales, c2, row);
     }
 }
 
@@ -755,11 +808,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_gather_equals_gather_then_finish() {
+    fn fused_fold_equals_fold_then_finish() {
         let mut rng = Rng(0xf05e_d000_0000_0001);
+        // Lane → unit maps with 1, 2 and 3 distinct units.
+        let lane_units: [[usize; 8]; 3] =
+            [[0; 8], [0, 0, 0, 0, 1, 1, 1, 1], [2, 2, 0, 0, 1, 1, 2, 2]];
         for trial in 0..40 {
-            let nb = 8 * (1 + trial % 4);
-            let table: Vec<i32> = (0..2 * nb * 32)
+            let seg_len = 8 * (1 + trial % 4);
+            let units = 3;
+            let stride = units * seg_len * 32;
+            let table: Vec<i32> = (0..crate::FOLD_ROWS * stride)
                 .map(|_| {
                     let r = rng.next();
                     if r.is_multiple_of(5) {
@@ -772,22 +830,49 @@ mod tests {
                     ((exp as i32) << 16) | (inc & 0xffff)
                 })
                 .collect();
-            let stride = 2 * nb;
-            let planes: Vec<u8> = (0..8 * stride).map(|_| rng.next() as u8).collect();
-            let bases: [i32; 8] = std::array::from_fn(|l| ((l + trial) % 2 * nb * 32) as i32);
-            let offsets: [usize; 8] = std::array::from_fn(|l| l * stride + nb / 2);
+            let plane_len = 2 * seg_len;
+            let planes: Vec<u8> = (0..8 * plane_len).map(|_| rng.next() as u8).collect();
+            let lane_unit = lane_units[trial % 3];
+            let bases: [i32; 8] = std::array::from_fn(|l| (lane_unit[l] * seg_len * 32) as i32);
+            let offsets: [usize; 8] = std::array::from_fn(|l| l * plane_len + seg_len / 2);
             let scales: [u16; 8] = std::array::from_fn(|_| rng.next() as u16);
-            let mut fused = [0.5f32; 8];
-            gather_group_planes_finish_fp16(
-                &table, &bases, &planes, &offsets, nb, &scales, 29, &mut fused,
-            );
-            let (sig, exp) = crate::gather_group_planes(&table, &bases, &planes, &offsets, nb);
-            let mut split = [0.5f32; 8];
-            for l in 0..8 {
-                split[l] += scalar_finish_fp16(sig[l], exp[l], scales[l], 29);
+            // Row outputs at a stride wider than the tile, pre-filled, so
+            // the fused form must add into exactly its own eight slots.
+            let out_stride = 8 + 3 * (trial % 2);
+            for rows in 1..=crate::FOLD_ROWS {
+                let fill: Vec<f32> = (0..rows * out_stride).map(|i| i as f32 * 0.25).collect();
+                let mut fused = fill.clone();
+                fold_rows_finish_fp16(
+                    &table, stride, rows, &bases, &planes, &offsets, seg_len, &scales, 29,
+                    &mut fused, out_stride,
+                );
+                let (sig, exp) =
+                    crate::fold_rows(&table, stride, rows, &bases, &planes, &offsets, seg_len);
+                let mut split = fill.clone();
+                for r in 0..rows {
+                    for l in 0..8 {
+                        split[r * out_stride + l] +=
+                            scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], 29);
+                    }
+                }
+                assert_eq!(
+                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "trial {trial} rows {rows}"
+                );
             }
-            assert_eq!(fused.map(f32::to_bits), split.map(f32::to_bits), "trial {trial}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "escape out")]
+    fn fused_fold_rejects_short_outputs() {
+        let planes = vec![0u8; 64];
+        let offsets: [usize; 8] = std::array::from_fn(|l| l * 8);
+        let mut out = vec![0f32; 8 + 7];
+        fold_rows_finish_fp16(
+            &[0; 512], 256, 2, &[0; 8], &planes, &offsets, 8, &[0; 8], 0, &mut out, 8,
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The one unsafe corner of the workspace: the AVX2 kernels for the
 //! prepared decode hot loops in `axcore::engines` — the packed-plane
-//! LUT gather (`vpgatherdd`), the FP16 stages around it (activation
-//! encode, table build, fused Norm → AxScale finish) and the W4A8
-//! integer block dot (`vpmaddubsw`).
+//! LUT fold (in-register table lookup, a block of activation rows per
+//! call), the FP16 stages around it (activation encode, table build,
+//! fused Norm → AxScale finish) and the W4A8 integer block dot
+//! (`vpmaddubsw`).
 //!
 //! Everything else in the workspace builds under
 //! `#![forbid(unsafe_code)]`; quarantining the vector kernels here keeps
@@ -15,16 +16,18 @@
 //! # Unsafe surface
 //!
 //! Every `unsafe` block is a call into one of these `target_feature`
-//! functions (whose bodies do the raw pointer loads, stores and
-//! gathers), made by a safe entry point after `avx2_available()` and the
-//! checks that discharge the function's `# Safety` contract:
+//! functions (whose bodies do the raw pointer loads and stores), made
+//! by a safe entry point after `avx2_available()` and the checks that
+//! discharge the function's `# Safety` contract. No load address in
+//! any of them depends on data: the LUT fold looks weight codes up in
+//! registers (`vpermd`), never in memory.
 //!
 //! | kernel | entry points | obligations checked by the entry point |
 //! |---|---|---|
-//! | `avx2_gather_group`, `avx2_fold` | [`gather_group`], [`gather_group_planes`], [`gather_group_planes_finish_fp16`] | equal code-slice lengths (a multiple of 8), every lane's table segment in bounds |
+//! | `avx2_fold` (+ `avx2_lookup`) | [`fold_rows`], [`fold_rows_finish_fp16`] | 1 to [`FOLD_ROWS`] rows, code segments inside the plane shard (length a multiple of 8), every lane's unit segment of every row inside the table |
 //! | `avx2_encode_fp16` | [`encode_fp16`] | equal lengths, a multiple of 8 (the tail runs scalar) |
 //! | `avx2_build_rows_fp16` | [`build_rows_fp16`] | 32 addends, 16 signs, 16 outputs per element |
-//! | `avx2_finish_add` | [`finish_fp16`], [`gather_group_planes_finish_fp16`] | none beyond AVX2: every operand is a fixed 8-lane array |
+//! | `avx2_finish_add` | [`finish_fp16`], [`fold_rows_finish_fp16`] | none beyond AVX2: every operand is a fixed 8-lane array |
 //! | `avx2_block_dots_u8i8` | [`block_dots_u8i8`] | equal lengths, whole 32-byte blocks |
 //!
 //! # Table entry layout
@@ -50,14 +53,14 @@
 mod fp16;
 
 pub use fp16::{
-    build_rows_fp16, encode_fp16, finish_fp16, gather_group_planes_finish_fp16,
-    scalar_build_rows_fp16, scalar_encode_fp16, scalar_finish_fp16,
+    build_rows_fp16, encode_fp16, finish_fp16, fold_rows_finish_fp16, scalar_build_rows_fp16,
+    scalar_encode_fp16, scalar_finish_fp16,
 };
 
-/// True when the running CPU can execute [`gather_group`]'s vector path.
+/// True when the running CPU can execute [`fold_rows`]'s vector path.
 ///
 /// Callers may use this to predict which path runs (benchmark labels),
-/// but they don't have to gate on it: [`gather_group`] dispatches
+/// but they don't have to gate on it: [`fold_rows`] dispatches
 /// internally and always produces the same bits either way.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -71,13 +74,14 @@ pub fn avx2_available() -> bool {
 }
 
 /// One-shot power-on self test of the LUT tier's vector kernels: run a
-/// small deterministic pattern through the AVX2 gather, FP16 encode,
-/// table build and fused finish, and through their scalar references.
+/// small deterministic pattern through the AVX2 row-block fold (one to
+/// [`FOLD_ROWS`] rows, one- and two-unit tiles), FP16 encode, table
+/// build and fused finish, and through their scalar references.
 /// Returns `true` when every pair agrees bit-for-bit (or when the CPU
 /// has no AVX2, in which case no vector path can run). Cached after the
 /// first call; the reliability ladder consults it before trusting the
-/// AVX2 tier, so a machine whose vector unit fails *any* of the four
-/// kernels loses the whole rung instead of silently corrupting.
+/// AVX2 tier, so a machine whose vector unit fails *any* of the kernels
+/// loses the whole rung instead of silently corrupting.
 pub fn self_test() -> bool {
     use std::sync::OnceLock;
     static RESULT: OnceLock<bool> = OnceLock::new();
@@ -85,11 +89,14 @@ pub fn self_test() -> bool {
         if !avx2_available() {
             return true;
         }
-        // 2 "units" × 16 k-steps × 32 entries, filled with a fixed
-        // mixed pattern: FP16-range exponents, signed increments, and
-        // periodic zero entries to exercise the re-anchor blend.
-        let nb = 8usize;
-        let table: Vec<i32> = (0..2 * nb * 32)
+        // 2 "units" × 16 k-steps × 16 entries per row, FOLD_ROWS rows,
+        // filled with a fixed mixed pattern: FP16-range exponents, signed
+        // increments, and periodic zero entries. Each unit's k-step 1
+        // negates k-step 0, and every lane reads one code at both, so
+        // every running sum cancels to 0 and must re-anchor at k-step 2.
+        let seg_len = 8usize;
+        let stride = 2 * seg_len * 32;
+        let mut table: Vec<i32> = (0..FOLD_ROWS * stride)
             .map(|i| {
                 if i % 7 == 0 {
                     return 0;
@@ -99,102 +106,162 @@ pub fn self_test() -> bool {
                 (exp << 16) | (inc & 0xffff)
             })
             .collect();
-        let mut bases = [0i32; 8];
-        let mut store = [[0u8; 8]; 8];
-        for l in 0..8 {
-            bases[l] = ((l % 2) * nb * 32) as i32;
-            for (b, slot) in store[l].iter_mut().enumerate() {
-                *slot = (l * 37 + b * 101) as u8;
+        for unit in (0..FOLD_ROWS * stride).step_by(stride / 2) {
+            for c in 0..16 {
+                let e = table[unit + c];
+                table[unit + 16 + c] = (e & !0xffff) | (-(e as i16 as i32) & 0xffff);
             }
         }
-        let codes: [&[u8]; 8] = std::array::from_fn(|l| &store[l][..]);
-        let scalar = scalar_gather_group(&table, &bases, &codes);
-        let vector = gather_group(&table, &bases, &codes);
-        (0..8).all(|l| {
-            scalar.0[l] == vector.0[l] && (scalar.0[l] == 0 || scalar.1[l] == vector.1[l])
+        let mut planes: Vec<u8> = (0..8 * seg_len)
+            .map(|i| (i * 37 + i / 8 * 101) as u8)
+            .collect();
+        for l in 0..8 {
+            planes[l * seg_len] = (3 + l as u8) * 0x11;
+        }
+        let offsets: [usize; 8] = std::array::from_fn(|l| l * seg_len);
+        let two_units: [i32; 8] = std::array::from_fn(|l| ((l % 2) * stride / 2) as i32);
+        let one_unit = [(stride / 2) as i32; 8];
+        [one_unit, two_units].iter().all(|bases| {
+            (1..=FOLD_ROWS).all(|rows| {
+                let (sig, exp) = fold_rows(&table, stride, rows, bases, &planes, &offsets, seg_len);
+                let codes = lane_codes(&planes, &offsets, seg_len);
+                (0..rows).all(|r| {
+                    let (s, e) = scalar_gather_group(&table[r * stride..], bases, &codes);
+                    (0..8).all(|l| s[l] == sig[r][l] && (s[l] == 0 || e[l] == exp[r][l]))
+                })
+            })
         }) && fp16::self_check()
     })
 }
 
-/// Fold one group × eight columns of packed 4-bit codes through the
-/// entry table into eight `(sig, exp)` accumulator lanes.
+/// Most activation rows one [`fold_rows`] call folds: each row keeps an
+/// 8-lane `(sig, exp)` pair in registers, and four pairs leave room for
+/// the tile's codes, lookup temporaries and unit masks.
+pub const FOLD_ROWS: usize = 4;
+
+/// Accumulator lanes of one row block as [`fold_rows`] returns them:
+/// `.0[r][l]` is row `r`'s significand in column lane `l`, `.1[r][l]` its
+/// anchor exponent. Rows at or past the call's `rows` stay zero.
+pub type FoldLanes = ([[i32; 8]; FOLD_ROWS], [[i32; 8]; FOLD_ROWS]);
+
+/// Fold one group × eight columns of packed 4-bit codes for a block of
+/// `rows` activation rows (1 to [`FOLD_ROWS`]) — the weight-stationary
+/// step: each column's codes are decoded once and serve every row.
+///
+/// Row `r`'s table starts at `table[r * row_stride]`. Lane `l` reads its
+/// codes from `planes[offsets[l]..offsets[l] + seg_len]` (low nibble =
+/// even k-step, the packed plane layout) and its entries from the
+/// 16-entry rows starting at `bases[l]` inside each row's table — the
+/// lane's unit segment. For every row `r` and lane `l` the result is
+/// [`scalar_gather_group`] on `&table[r * row_stride..]` with the same
+/// bases and codes, bit for bit (except `exp` where `sig == 0`, a dead
+/// anchor nothing downstream reads).
+///
+/// Dispatches to the AVX2 kernel when the CPU supports it and `seg_len`
+/// fills whole u64 code words, and to the scalar reference otherwise.
+///
+/// # Panics
+///
+/// Panics unless `1 ≤ rows ≤ FOLD_ROWS`, every lane's code segment lies
+/// inside `planes`, and every lane's unit segment of every row
+/// (`r * row_stride + bases[l] .. + seg_len * 32`) lies inside `table` —
+/// the bounds that make the vector path's raw loads sound.
+pub fn fold_rows(
+    table: &[i32],
+    row_stride: usize,
+    rows: usize,
+    bases: &[i32; 8],
+    planes: &[u8],
+    offsets: &[usize; 8],
+    seg_len: usize,
+) -> FoldLanes {
+    check_fold_bounds(table, row_stride, rows, bases, planes, offsets, seg_len);
+    let mut lanes: FoldLanes = ([[0; 8]; FOLD_ROWS], [[0; 8]; FOLD_ROWS]);
+    #[cfg(target_arch = "x86_64")]
+    if seg_len.is_multiple_of(8) && avx2_available() {
+        let units = LaneUnits::of(bases);
+        // SAFETY: AVX2 confirmed at runtime; `seg_len` is a multiple of
+        // 8 and every code and table segment was bounds-checked above —
+        // `avx2_fold`'s contract.
+        unsafe {
+            match rows {
+                1 => avx2_fold_store::<1>(
+                    table, row_stride, &units, planes, offsets, seg_len, &mut lanes,
+                ),
+                2 => avx2_fold_store::<2>(
+                    table, row_stride, &units, planes, offsets, seg_len, &mut lanes,
+                ),
+                3 => avx2_fold_store::<3>(
+                    table, row_stride, &units, planes, offsets, seg_len, &mut lanes,
+                ),
+                _ => avx2_fold_store::<4>(
+                    table, row_stride, &units, planes, offsets, seg_len, &mut lanes,
+                ),
+            }
+        }
+        return lanes;
+    }
+    let codes = lane_codes(planes, offsets, seg_len);
+    for r in 0..rows {
+        let (sig, exp) = scalar_gather_group(&table[r * row_stride..], bases, &codes);
+        lanes.0[r] = sig;
+        lanes.1[r] = exp;
+    }
+    lanes
+}
+
+/// The eight lanes' code segments carved out of one plane shard.
+fn lane_codes<'a>(planes: &'a [u8], offsets: &[usize; 8], seg_len: usize) -> [&'a [u8]; 8] {
+    std::array::from_fn(|l| &planes[offsets[l]..offsets[l] + seg_len])
+}
+
+/// The bounds that make the vector fold's raw loads sound: a row count
+/// the kernels are instantiated for, every lane's code segment inside
+/// `planes`, and every lane's unit segment of the block's last row
+/// (hence of every row) inside `table`. Sums saturate, so no wrap can
+/// sneak an escaping segment past the comparison.
+pub(crate) fn check_fold_bounds(
+    table: &[i32],
+    row_stride: usize,
+    rows: usize,
+    bases: &[i32; 8],
+    planes: &[u8],
+    offsets: &[usize; 8],
+    seg_len: usize,
+) {
+    assert!(
+        (1..=FOLD_ROWS).contains(&rows),
+        "row block of {rows} rows (1..={FOLD_ROWS})"
+    );
+    let last_row = (rows - 1).saturating_mul(row_stride);
+    for l in 0..8 {
+        assert!(
+            offsets[l].saturating_add(seg_len) <= planes.len(),
+            "lane {l} codes [{}, +{seg_len}) escape planes of {}",
+            offsets[l],
+            planes.len()
+        );
+        let start = last_row.saturating_add(bases[l] as usize);
+        let end = start.saturating_add(seg_len.saturating_mul(32));
+        assert!(
+            bases[l] >= 0 && end <= table.len(),
+            "lane {l} segment [{start}, {end}) escapes table of {}",
+            table.len()
+        );
+    }
+}
+
+/// Scalar reference for [`fold_rows`] (one row): the sequential-branch
+/// form of the fold, one lane at a time.
 ///
 /// For lane `l`, the fold visits `codes[l]` byte by byte (low nibble =
 /// even k-step, high nibble = odd, matching the packed plane layout)
 /// and for byte `bi` with nibble `c` looks up
 /// `table[bases[l] + (2 * bi + half) * 16 + c]`, folding entries in
 /// ascending k order. Lanes are independent columns; `bases[l]` points
-/// at the lane's unit segment, laid out as 16-entry rows.
-///
-/// Dispatches to the AVX2 kernel when the CPU supports it and every
-/// lane's code slice fills whole u64 words, and to the scalar reference
-/// otherwise — results are bit-identical (the in-crate tests pin this).
-///
-/// # Panics
-///
-/// Panics if some `codes[l].len()` differs from `codes[0].len()`, or if
-/// any lane's highest index (`bases[l] + codes[l].len() * 32 - 1`)
-/// reaches past `table.len()` — the bounds that make the vector path's
-/// raw gather sound.
-pub fn gather_group(
-    table: &[i32],
-    bases: &[i32; 8],
-    codes: &[&[u8]; 8],
-) -> ([i32; 8], [i32; 8]) {
-    check_gather_bounds(table, bases, codes);
-    let nb = codes[0].len();
-    #[cfg(target_arch = "x86_64")]
-    if nb.is_multiple_of(8) && avx2_available() {
-        // SAFETY: AVX2 confirmed at runtime; index bounds asserted above.
-        return unsafe { avx2_gather_group(table, bases, codes) };
-    }
-    scalar_gather_group(table, bases, codes)
-}
-
-/// The bounds that make the vector fold's raw gather sound: equal-length
-/// code slices, and every lane's table segment inside `table`.
-fn check_gather_bounds(table: &[i32], bases: &[i32; 8], codes: &[&[u8]; 8]) {
-    let nb = codes[0].len();
-    for l in 0..8 {
-        assert_eq!(codes[l].len(), nb, "ragged code slices");
-        let end = bases[l] as usize + nb * 32;
-        assert!(
-            bases[l] >= 0 && end <= table.len(),
-            "lane {l} segment [{}, {end}) escapes table of {}",
-            bases[l],
-            table.len()
-        );
-    }
-}
-
-/// Shard-local form of [`gather_group`]: the eight lanes' code slices
-/// are carved out of **one contiguous plane shard** (`planes`, a
-/// `PlaneShard`'s raw bytes) by per-lane byte offsets, instead of being
-/// pre-sliced by the caller. `offsets[l]` is the start of lane `l`'s
-/// group segment within `planes` and `seg_len` its length in packed
-/// bytes (`group_size / 2`). This is the entry point the sharded GEMM
-/// dispatch uses: handing the kernel the shard slice (rather than views
-/// of the whole plane storage) makes "a worker only reads its own
-/// shard's planes" a bounds-checked property, not a convention.
-///
-/// # Panics
-///
-/// Panics if any `offsets[l] + seg_len` reaches past `planes.len()`, in
-/// addition to [`gather_group`]'s own table-bounds checks.
-pub fn gather_group_planes(
-    table: &[i32],
-    bases: &[i32; 8],
-    planes: &[u8],
-    offsets: &[usize; 8],
-    seg_len: usize,
-) -> ([i32; 8], [i32; 8]) {
-    let codes: [&[u8]; 8] = std::array::from_fn(|l| &planes[offsets[l]..offsets[l] + seg_len]);
-    gather_group(table, bases, &codes)
-}
-
-/// Scalar reference for [`gather_group`]: the sequential-branch form of
-/// the fold, one lane at a time. Public so the engine's non-AVX2 tests
-/// and this crate's equivalence tests can call it directly.
+/// at the lane's unit segment, laid out as 16-entry rows. Public so the
+/// engine's tests and this crate's equivalence tests can call it
+/// directly.
 pub fn scalar_gather_group(
     table: &[i32],
     bases: &[i32; 8],
@@ -229,116 +296,211 @@ pub fn scalar_gather_group(
     (sig, exp)
 }
 
-/// One group × eight columns in AVX2: per k-step, extract each lane's
-/// nibble code from its u64 code word, gather the eight combined i32
-/// entries with `vpgatherdd`, and fold them into eight `(exp, sig)`
-/// accumulator lanes held in vector registers.
-///
-/// Bit-identity with [`scalar_gather_group`]: the fold is the
-/// branchless max-anchor form of the same adder, with the `sig == 0`
-/// re-anchor expressed as a lane blend. i32 significand lanes are exact
-/// because the engine bounds the running sum below 2^31
-/// (`gs · 2^(man_bits+3)` gate), and `vpsravd` fills with sign bits for
-/// shift counts ≥ 32 — the same result the `.min(31)` clamp gives for
-/// i32 values. Blending `exp = pexp` on zero-significand lanes can
-/// leave a different anchor than the scalar path's untouched `exp`, but
-/// only while `sig == 0`, a state whose anchor the engine never
-/// observes: the next non-zero add re-anchors, and normalization
-/// returns 0 without reading it.
-///
-/// # Safety
-///
-/// Caller must guarantee AVX2 is available, `codes[l].len()` is equal
-/// across lanes and a multiple of 8, and for every lane
-/// `bases[l] >= 0 && bases[l] as usize + codes[l].len() * 32 <=
-/// table.len()` (each code byte addresses two 16-entry rows).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_gather_group(
-    table: &[i32],
-    bases: &[i32; 8],
-    codes: &[&[u8]; 8],
-) -> ([i32; 8], [i32; 8]) {
-    use std::arch::x86_64::*;
-    let (sig, exp) = avx2_fold(table, bases, codes);
-    let mut so = [0i32; 8];
-    let mut eo = [0i32; 8];
-    _mm256_storeu_si256(so.as_mut_ptr() as *mut __m256i, sig);
-    _mm256_storeu_si256(eo.as_mut_ptr() as *mut __m256i, exp);
-    (so, eo)
+/// The distinct unit segments among a tile's eight lanes: `base[u]` is
+/// segment `u`'s start in a row's table and `mask[u]` selects (all-ones)
+/// the lanes reading it. Derived per call from the lane bases, so a
+/// tile whose columns span several units needs no stored state.
+pub(crate) struct LaneUnits {
+    count: usize,
+    base: [usize; 8],
+    mask: [[i32; 8]; 8],
 }
 
-/// The fold behind [`avx2_gather_group`], leaving the `(sig, exp)` lanes
-/// in registers for a fused epilogue.
+impl LaneUnits {
+    /// Group the lanes by base (bases are assumed non-negative — the
+    /// bounds check runs first).
+    pub(crate) fn of(bases: &[i32; 8]) -> LaneUnits {
+        let mut units = LaneUnits {
+            count: 0,
+            base: [0; 8],
+            mask: [[0; 8]; 8],
+        };
+        for (l, &b) in bases.iter().enumerate() {
+            let b = b as usize;
+            let u = match units.base[..units.count].iter().position(|&x| x == b) {
+                Some(u) => u,
+                None => {
+                    units.base[units.count] = b;
+                    units.count += 1;
+                    units.count - 1
+                }
+            };
+            units.mask[u][l] = -1;
+        }
+        units
+    }
+
+    /// Whether the tile spans more than one unit segment.
+    pub(crate) fn is_mixed(&self) -> bool {
+        self.count > 1
+    }
+}
+
+/// [`fold_rows`]'s vector path with the lanes stored out, for `R` rows.
 ///
 /// # Safety
 ///
-/// [`avx2_gather_group`]'s contract.
+/// [`avx2_fold`]'s contract.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn avx2_fold_store<const R: usize>(
+    table: &[i32],
+    row_stride: usize,
+    units: &LaneUnits,
+    planes: &[u8],
+    offsets: &[usize; 8],
+    seg_len: usize,
+    lanes: &mut FoldLanes,
+) {
+    use std::arch::x86_64::*;
+    let (sig, exp) = if units.is_mixed() {
+        avx2_fold::<R, true>(table, row_stride, units, planes, offsets, seg_len)
+    } else {
+        avx2_fold::<R, false>(table, row_stride, units, planes, offsets, seg_len)
+    };
+    for r in 0..R {
+        _mm256_storeu_si256(lanes.0[r].as_mut_ptr() as *mut __m256i, sig[r]);
+        _mm256_storeu_si256(lanes.1[r].as_mut_ptr() as *mut __m256i, exp[r]);
+    }
+}
+
+/// One group × eight columns × `R` rows in AVX2, leaving the `(sig,
+/// exp)` lanes in registers for the caller's epilogue.
+///
+/// **Lookup.** Per k-step the tile's eight code nibbles are extracted
+/// once, for every row: the lanes' u64 code words are transposed into
+/// two 8 × u32 vectors (k-steps 0–7 and 8–15), so k-step `s`'s nibbles
+/// sit in bits `4s..4s+4` of each lane. A unit's 16-entry table row is
+/// two `ymm` registers; `vpermd` on each half picks entry `c & 7` per
+/// lane (it reads only an index's low three bits, so the nibbles need
+/// no masking), and a `blendv` on bit 3 of the nibble (shifted to the
+/// sign bit) chooses the half. With `MIXED`, every distinct unit of the
+/// tile is looked up this way and blended in by its lane mask. Every
+/// load address is the row's table segment plus the k-step — none
+/// depends on a weight code.
+///
+/// **Fold.** The rows' adder chains run side by side. Each is the
+/// branchless max-anchor form of [`scalar_gather_group`]'s adder with a
+/// blend-free re-anchor: a `sig == 0` lane's exponent is cleared
+/// (`andnot`) before the max, so the anchor becomes the entry's own
+/// exponent (entry exponents are ≥ 0), the zero significand shifts to
+/// 0 and the increment shifts by 0 — the scalar re-anchor, result for
+/// result. On a zero entry it leaves `exp = pexp` where the scalar
+/// path keeps its old anchor, but only while `sig == 0`, whose anchor
+/// nothing observes: the next non-zero add re-anchors, and
+/// normalization returns 0 without reading it. i32 significand lanes
+/// are exact because the engine bounds the running sum below 2^31
+/// (`gs · 2^(man_bits+3)` gate), and `vpsravd` fills with sign bits for
+/// shift counts ≥ 32 — what the reference's `.min(31)` gives on i32.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 is available, `seg_len` is a multiple of
+/// 8, every `offsets[l] + seg_len <= planes.len()`, and for every unit
+/// `(R - 1) * row_stride + units.base[u] + seg_len * 32 <= table.len()`
+/// (each code byte addresses two 16-entry rows).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn avx2_fold(
+pub(crate) unsafe fn avx2_fold<const R: usize, const MIXED: bool>(
     table: &[i32],
-    bases: &[i32; 8],
-    codes: &[&[u8]; 8],
-) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+    row_stride: usize,
+    units: &LaneUnits,
+    planes: &[u8],
+    offsets: &[usize; 8],
+    seg_len: usize,
+) -> (
+    [std::arch::x86_64::__m256i; R],
+    [std::arch::x86_64::__m256i; R],
+) {
     use std::arch::x86_64::*;
-    let mut sig = _mm256_setzero_si256();
-    let mut exp = _mm256_setzero_si256();
-    let base_v = _mm256_loadu_si256(bases.as_ptr() as *const __m256i);
-    let mask0f = _mm256_set1_epi64x(0xf);
-    // Lane compaction: nibbles live in the low dword of each u64 lane;
-    // this picks dwords 0,2,4,6 of each half into its low 128 bits.
-    let even = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    let sixteen = _mm256_set1_epi32(16);
+    let zero = _mm256_setzero_si256();
+    let mut sig = [zero; R];
+    let mut exp = [zero; R];
     let tp = table.as_ptr();
-    let nb = codes[0].len();
-    for blk in 0..nb / 8 {
-        let b = blk * 8;
+    let pp = planes.as_ptr();
+    // The tile's other units (none unless `MIXED`), blended in by lane
+    // mask over the first unit's entries.
+    let nu = if MIXED { units.count } else { 1 };
+    let mut umask = [zero; 8];
+    for (m, lanes) in umask.iter_mut().zip(&units.mask).take(nu) {
+        *m = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
+    }
+    let (other_bases, other_masks) = (&units.base[1..nu], &umask[1..nu]);
+    for blk in 0..seg_len / 8 {
+        // The eight lanes' code words, transposed into one u32 per lane
+        // for k-steps 0–7 (`words[0]`) and 8–15 (`words[1]`).
         let mut w = [0u64; 8];
         for (l, wl) in w.iter_mut().enumerate() {
-            // The slice is exactly 8 bytes, so the array conversion
-            // cannot fail.
-            #[allow(clippy::unwrap_used)]
-            {
-                *wl = u64::from_le_bytes(codes[l][b..b + 8].try_into().unwrap());
-            }
+            *wl = (pp.add(offsets[l] + blk * 8) as *const u64).read_unaligned();
         }
-        let mut wlo = _mm256_loadu_si256(w.as_ptr() as *const __m256i);
-        let mut whi = _mm256_loadu_si256(w.as_ptr().add(4) as *const __m256i);
-        let mut row = _mm256_add_epi32(base_v, _mm256_set1_epi32((blk * 256) as i32));
-        for _step in 0..16 {
-            let nlo = _mm256_and_si256(wlo, mask0f);
-            let nhi = _mm256_and_si256(whi, mask0f);
-            wlo = _mm256_srli_epi64::<4>(wlo);
-            whi = _mm256_srli_epi64::<4>(whi);
-            let clo = _mm256_permutevar8x32_epi32(nlo, even);
-            let chi = _mm256_permutevar8x32_epi32(nhi, even);
-            let nib = _mm256_permute2x128_si256::<0x20>(clo, chi);
-            let idx = _mm256_add_epi32(row, nib);
-            row = _mm256_add_epi32(row, sixteen);
-            let e = _mm256_i32gather_epi32::<4>(tp, idx);
-            // Entry split: high half = biased exponent (≤ 255, so the
-            // arithmetic shift is exact), low half = signed increment.
-            let pexp = _mm256_srai_epi32::<16>(e);
-            let pinc = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(e));
-            let z = _mm256_cmpeq_epi32(sig, _mm256_setzero_si256());
-            let anchor = _mm256_max_epi32(exp, pexp);
-            let ssh = _mm256_srav_epi32(sig, _mm256_sub_epi32(anchor, exp));
-            let ish = _mm256_srav_epi32(pinc, _mm256_sub_epi32(anchor, pexp));
-            let sum = _mm256_add_epi32(ssh, ish);
-            sig = _mm256_blendv_epi8(sum, pinc, z);
-            exp = _mm256_blendv_epi8(anchor, pexp, z);
+        let a = _mm256_castsi256_ps(_mm256_loadu_si256(w.as_ptr() as *const __m256i));
+        let b = _mm256_castsi256_ps(_mm256_loadu_si256(w.as_ptr().add(4) as *const __m256i));
+        // `shufps` leaves lane order 0 1 4 5 2 3 6 7; `vpermq` restores it.
+        let words = [
+            _mm256_permute4x64_epi64::<0xd8>(_mm256_castps_si256(_mm256_shuffle_ps::<0x88>(a, b))),
+            _mm256_permute4x64_epi64::<0xd8>(_mm256_castps_si256(_mm256_shuffle_ps::<0xdd>(a, b))),
+        ];
+        for (half, &word) in words.iter().enumerate() {
+            let mut idx = word;
+            for s in 0..8 {
+                let sel = _mm256_slli_epi32::<28>(idx);
+                let step = (blk * 16 + half * 8 + s) * 16;
+                for r in 0..R {
+                    let row = tp.add(r * row_stride + step);
+                    let mut e = avx2_lookup(row.add(units.base[0]), idx, sel);
+                    for (&base, &mask) in other_bases.iter().zip(other_masks) {
+                        e = _mm256_blendv_epi8(e, avx2_lookup(row.add(base), idx, sel), mask);
+                    }
+                    // Entry split: high half = biased exponent (≤ 255, so
+                    // the arithmetic shift is exact), low half = signed
+                    // increment.
+                    let pexp = _mm256_srai_epi32::<16>(e);
+                    let pinc = _mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(e));
+                    let live = _mm256_andnot_si256(_mm256_cmpeq_epi32(sig[r], zero), exp[r]);
+                    let anchor = _mm256_max_epi32(live, pexp);
+                    let ssh = _mm256_srav_epi32(sig[r], _mm256_sub_epi32(anchor, live));
+                    let ish = _mm256_srav_epi32(pinc, _mm256_sub_epi32(anchor, pexp));
+                    sig[r] = _mm256_add_epi32(ssh, ish);
+                    exp[r] = anchor;
+                }
+                idx = _mm256_srli_epi32::<4>(idx);
+            }
         }
     }
     (sig, exp)
+}
+
+/// Entry of the 16-entry table row at `row` for every lane's nibble:
+/// `vpermd` on each 8-entry half (`idx`'s low three bits), then the
+/// sign bit of `sel` — the nibble's bit 3 — picks the half.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 is available and `row[0..16]` readable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn avx2_lookup(
+    row: *const i32,
+    idx: std::arch::x86_64::__m256i,
+    sel: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let lo = _mm256_permutevar8x32_epi32(_mm256_loadu_si256(row as *const __m256i), idx);
+    let hi = _mm256_permutevar8x32_epi32(_mm256_loadu_si256(row.add(8) as *const __m256i), idx);
+    _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(lo),
+        _mm256_castsi256_ps(hi),
+        _mm256_castsi256_ps(sel),
+    ))
 }
 
 /// One-shot self test of the W4A8 vector kernel: dot a deterministic
 /// pattern through both the AVX2 `maddubs` path and the scalar
 /// reference. `true` when they agree bit-for-bit (or when the CPU has
 /// no AVX2). Cached; the W4A8 tier consults it before trusting the
-/// vector rung, mirroring [`self_test`] for the LUT gather.
+/// vector rung, mirroring [`self_test`] for the LUT fold.
 pub fn block_dots_self_test() -> bool {
     use std::sync::OnceLock;
     static RESULT: OnceLock<bool> = OnceLock::new();
@@ -504,69 +666,200 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn vector_and_scalar_folds_are_bit_identical() {
-        if !avx2_available() {
-            return;
+    /// A row block laid out like the engine's: `rows` row tables of
+    /// `stride` entries, each holding `units` unit segments of
+    /// `seg_len * 32` entries after a `pad`-entry gap, plus one plane
+    /// shard of eight columns (`plane_len` bytes each) and the lane
+    /// bases/offsets of one group segment inside it. Lane `l` reads unit
+    /// `lane_unit[l]`.
+    struct Block {
+        table: Vec<i32>,
+        stride: usize,
+        planes: Vec<u8>,
+        bases: [i32; 8],
+        offsets: [usize; 8],
+        seg_len: usize,
+    }
+
+    impl Block {
+        fn new(rng: &mut Rng, rows: usize, lane_unit: [usize; 8], seg_len: usize) -> Block {
+            let units = 1 + lane_unit.iter().max().copied().unwrap_or(0);
+            let pad = 16 * (rng.next() % 3) as usize;
+            let stride = pad + units * seg_len * 32 + 16 * (rng.next() % 2) as usize;
+            let table = random_table(rng, rows * stride);
+            let plane_len = seg_len + 8 * (rng.next() % 3) as usize;
+            let seg0 = (rng.next() as usize) % (plane_len - seg_len + 1);
+            let planes = (0..8 * plane_len).map(|_| rng.next() as u8).collect();
+            Block {
+                table,
+                stride,
+                planes,
+                bases: std::array::from_fn(|l| (pad + lane_unit[l] * seg_len * 32) as i32),
+                offsets: std::array::from_fn(|l| l * plane_len + seg0),
+                seg_len,
+            }
         }
-        let mut rng = Rng(0x9e3779b97f4a7c15);
-        for trial in 0..50 {
-            let nb = 8 * (1 + trial % 4); // 16..64 k-steps per lane
-            let units = 1 + (trial % 3) as i32;
-            let table = random_table(&mut rng, (units as usize) * nb * 32);
-            let mut bases = [0i32; 8];
-            let mut code_store = [[0u8; 64]; 8];
-            for l in 0..8 {
-                bases[l] = (rng.next() as i32).rem_euclid(units) * (nb as i32) * 32;
-                for b in code_store[l].iter_mut().take(nb) {
-                    *b = rng.next() as u8;
+
+        fn fold(&self, rows: usize) -> FoldLanes {
+            fold_rows(
+                &self.table,
+                self.stride,
+                rows,
+                &self.bases,
+                &self.planes,
+                &self.offsets,
+                self.seg_len,
+            )
+        }
+
+        /// Every row of a `rows`-row fold against the scalar reference:
+        /// `(sig, exp)` pairs, except `exp` on dead (`sig == 0`) lanes,
+        /// which nothing downstream reads.
+        fn assert_matches_reference(&self, rows: usize, what: &str) {
+            let got = self.fold(rows);
+            let codes = lane_codes(&self.planes, &self.offsets, self.seg_len);
+            for r in 0..rows {
+                let (sig, exp) =
+                    scalar_gather_group(&self.table[r * self.stride..], &self.bases, &codes);
+                for l in 0..8 {
+                    assert_eq!(got.0[r][l], sig[l], "sig row {r} lane {l}: {what}");
+                    if sig[l] != 0 {
+                        assert_eq!(got.1[r][l], exp[l], "exp row {r} lane {l}: {what}");
+                    }
                 }
             }
-            let codes: [&[u8]; 8] = std::array::from_fn(|l| &code_store[l][..nb]);
-            let scalar = scalar_gather_group(&table, &bases, &codes);
-            let vector = gather_group(&table, &bases, &codes);
-            // Compare observable state: (sig, exp) pairs, except exp on
-            // dead (sig == 0) lanes, which nothing downstream reads.
-            for l in 0..8 {
-                assert_eq!(scalar.0[l], vector.0[l], "sig lane {l} trial {trial}");
-                if scalar.0[l] != 0 {
-                    assert_eq!(scalar.1[l], vector.1[l], "exp lane {l} trial {trial}");
+            for r in rows..FOLD_ROWS {
+                assert_eq!(
+                    (got.0[r], got.1[r]),
+                    ([0; 8], [0; 8]),
+                    "unused row {r}: {what}"
+                );
+            }
+        }
+    }
+
+    /// Lane → unit maps with exactly 1, 2 and 3 distinct units: uniform,
+    /// `block_cols` 4 and 2 style runs, and scattered.
+    const LANE_UNITS: [[usize; 8]; 6] = [
+        [0; 8],
+        [0, 0, 0, 0, 1, 1, 1, 1],
+        [1, 1, 0, 0, 1, 1, 0, 0],
+        [0, 0, 1, 1, 2, 2, 0, 0],
+        [2, 0, 1, 2, 0, 1, 2, 0],
+        [1, 2, 2, 2, 2, 2, 2, 2],
+    ];
+
+    #[test]
+    fn vector_and_scalar_folds_are_bit_identical() {
+        let mut rng = Rng(0x9e3779b97f4a7c15);
+        for trial in 0..40 {
+            let seg_len = 8 * (1 + trial % 4); // 16..64 k-steps per lane
+            for lane_unit in LANE_UNITS {
+                let block = Block::new(&mut rng, FOLD_ROWS, lane_unit, seg_len);
+                for rows in 1..=FOLD_ROWS {
+                    block.assert_matches_reference(rows, &format!("trial {trial} {lane_unit:?}"));
                 }
             }
         }
     }
 
     #[test]
-    fn sharded_plane_entry_matches_presliced_codes() {
-        let mut rng = Rng(0x1234_5678_9abc_def1);
-        let nb = 16usize; // 32 k-steps per lane
-        let table = random_table(&mut rng, 2 * nb * 32);
-        // One contiguous "shard" of 8 column planes, each `stride` bytes,
-        // with the group segment at a common per-plane offset.
-        let stride = 3 * nb;
-        let seg0 = nb; // segment start within each plane
-        let planes: Vec<u8> = (0..8 * stride).map(|_| rng.next() as u8).collect();
-        let mut bases = [0i32; 8];
-        let mut offsets = [0usize; 8];
-        for l in 0..8 {
-            bases[l] = ((l % 2) * nb * 32) as i32;
-            offsets[l] = l * stride + seg0;
+    fn every_code_in_every_lane() {
+        // 32 k-steps: lane l's nibble at k-step s is (s + 3l) mod 16, so
+        // every lane reads all 16 codes, each at two different k-steps,
+        // through both table halves of every unit.
+        let mut rng = Rng(0xc0de_c0de_0000_0001);
+        for lane_unit in LANE_UNITS {
+            let mut block = Block::new(&mut rng, FOLD_ROWS, lane_unit, 16);
+            for l in 0..8 {
+                for bi in 0..16 {
+                    let nib = |s: usize| ((s + 3 * l) % 16) as u8;
+                    block.planes[block.offsets[l] + bi] = nib(2 * bi) | (nib(2 * bi + 1) << 4);
+                }
+            }
+            for rows in 1..=FOLD_ROWS {
+                block.assert_matches_reference(rows, &format!("{lane_unit:?}"));
+            }
         }
-        let codes: [&[u8]; 8] =
-            std::array::from_fn(|l| &planes[offsets[l]..offsets[l] + nb]);
-        let direct = gather_group(&table, &bases, &codes);
-        let sharded = gather_group_planes(&table, &bases, &planes, &offsets, nb);
-        assert_eq!(direct, sharded);
+    }
+
+    #[test]
+    fn zero_entries_and_mid_group_cancellation_re_anchor() {
+        // Per row, lane l folds: +x (exp 20), −x (exp 20) — the running
+        // sum cancels to 0 at k-step 1 — then zero entries, then a
+        // smaller-exponent entry that must re-anchor the lane (the
+        // scalar path's `sig == 0` branch, the vector path's cleared
+        // exponent), then ordinary entries. Rows and lanes vary x and
+        // the step at which the re-anchoring entry arrives.
+        let entry = |exp: i32, inc: i32| (exp << 16) | (inc & 0xffff);
+        let seg_len = 8; // 16 k-steps
+        let stride = seg_len * 32;
+        let mut table = vec![0i32; FOLD_ROWS * stride];
+        let mut planes = vec![0u8; 8 * seg_len];
+        let offsets: [usize; 8] = std::array::from_fn(|l| l * seg_len);
+        for r in 0..FOLD_ROWS {
+            for step in 0..16 {
+                for c in 0..16 {
+                    // Code c at k-step `step` of row r.
+                    let x = 0x1000 + 8 * (c as i32) + r as i32;
+                    let e = match (step, c % 4) {
+                        (0, _) => entry(20, x),
+                        (1, _) => entry(20, -x),
+                        (_, 0) => 0,
+                        (_, 1) => entry(3 + (c as i32) % 5, -(x >> 2)),
+                        _ => entry(10 + step as i32, x >> 1),
+                    };
+                    table[r * stride + step * 16 + c] = e;
+                }
+            }
+        }
+        for l in 0..8 {
+            // Codes ≡ 0 (mod 4) hit zero entries, ≡ 1 the re-anchor
+            // entry; lane l re-anchors at k-step 2 + l.
+            for step in 0..16 {
+                let code = match step {
+                    0 | 1 => l as u8,
+                    s if s < 2 + l => 0,
+                    s if s == 2 + l => 1 + 4 * (l as u8 % 4),
+                    _ => (step as u8 * 7) % 16,
+                };
+                planes[offsets[l] + step / 2] |= code << (4 * (step % 2));
+            }
+        }
+        let bases = [0i32; 8];
+        let codes = lane_codes(&planes, &offsets, seg_len);
+        for rows in 1..=FOLD_ROWS {
+            let got = fold_rows(&table, stride, rows, &bases, &planes, &offsets, seg_len);
+            for r in 0..rows {
+                let (sig, exp) = scalar_gather_group(&table[r * stride..], &bases, &codes);
+                assert_eq!(got.0[r], sig, "sig row {r} of {rows}");
+                for l in 0..8 {
+                    assert_ne!(sig[l], 0, "lane {l} must end live");
+                    assert_eq!(got.1[r][l], exp[l], "exp row {r} lane {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_segments_take_the_scalar_path() {
+        // A 12-byte segment does not fill whole code words: the entry
+        // point folds it with the reference, with the same bounds.
+        let mut rng = Rng(0x5ca1_ab1e);
+        for lane_unit in LANE_UNITS {
+            let block = Block::new(&mut rng, 3, lane_unit, 12);
+            for rows in 1..=3 {
+                block.assert_matches_reference(rows, &format!("{lane_unit:?}"));
+            }
+        }
     }
 
     #[test]
     fn zero_codes_on_zero_table_stay_zero() {
-        let table = vec![0i32; 32 * 8];
-        let bases = [0i32; 8];
-        let store = [[0u8; 8]; 8];
-        let codes: [&[u8]; 8] = std::array::from_fn(|l| &store[l][..]);
-        let (sig, _) = gather_group(&table, &bases, &codes);
-        assert_eq!(sig, [0; 8]);
+        let planes = vec![0u8; 64];
+        let offsets: [usize; 8] = std::array::from_fn(|l| l * 8);
+        let (sig, _) = fold_rows(&[0; 2 * 8 * 32], 8 * 32, 2, &[0; 8], &planes, &offsets, 8);
+        assert_eq!(sig, [[0; 8]; FOLD_ROWS]);
     }
 
     #[test]
@@ -626,14 +919,50 @@ mod tests {
         block_dots_u8i8(&w, &a, &mut dots);
     }
 
+    /// A minimal one-unit block for the bounds tests: one 8-byte code
+    /// word per lane, one 256-entry segment per row.
+    fn bounds_case(rows: usize, table_rows: usize, base3: i32, offset3: usize) {
+        let table = vec![0i32; table_rows * 256];
+        let planes = vec![0u8; 64];
+        let mut bases = [0i32; 8];
+        bases[3] = base3;
+        let mut offsets: [usize; 8] = std::array::from_fn(|l| l * 8);
+        offsets[3] = offset3;
+        fold_rows(&table, 256, rows, &bases, &planes, &offsets, 8);
+    }
+
+    #[test]
+    fn in_bounds_block_passes_the_checks() {
+        bounds_case(4, 4, 0, 24);
+    }
+
     #[test]
     #[should_panic(expected = "escapes table")]
     fn out_of_bounds_base_panics() {
-        let table = vec![0i32; 64];
-        let mut bases = [0i32; 8];
-        bases[3] = 64;
-        let store = [[0u8; 8]; 8];
-        let codes: [&[u8]; 8] = std::array::from_fn(|l| &store[l][..]);
-        gather_group(&table, &bases, &codes);
+        bounds_case(1, 1, 16, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "escapes table")]
+    fn last_row_past_the_table_panics() {
+        bounds_case(3, 2, 0, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "escapes table")]
+    fn negative_base_panics() {
+        bounds_case(1, 4, -16, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "escape planes")]
+    fn codes_past_the_shard_panic() {
+        bounds_case(1, 1, 0, 57);
+    }
+
+    #[test]
+    #[should_panic(expected = "row block")]
+    fn oversized_row_block_panics() {
+        bounds_case(FOLD_ROWS + 1, FOLD_ROWS + 1, 0, 24);
     }
 }

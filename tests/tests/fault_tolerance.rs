@@ -169,6 +169,61 @@ fn pool_stays_usable_after_degradation() {
     health::reset();
 }
 
+/// A `block_unit` flip naming a unit the table does not have, with
+/// verification off: no integrity pre-check stands between the corrupt
+/// index and the folds, so the AVX2 fold's bounds check (slice indexing
+/// on the SWAR and direct rungs) must turn the would-be out-of-table
+/// read into a panic. The ladder's guard catches it on every rung, and
+/// the call recovers from the pristine weights, bit-identically.
+#[test]
+fn missing_unit_in_block_index_degrades_through_the_panic_guard() {
+    let _g = health_guard();
+    let (a, q) = setup(21);
+    let engine = AxCoreEngine::new(FP16);
+
+    let pristine = engine.prepare(&q);
+    let mut reference = vec![0f32; M * N];
+    axcore_parallel::with_threads(1, || {
+        with_lut_policy(LutPolicy::Always, || pristine.gemm(&a, M, &mut reference))
+    });
+
+    let mut p = engine.prepare(&q);
+    let (words, bits) = p.fault_surface("block-unit");
+    assert_eq!(bits, 16, "block_unit entries are u16");
+    // Bit 15 names unit ≥ 32768: far past any prepared unit.
+    assert!(p.inject_fault("block-unit", words / 2, 15));
+    let mut out = vec![f32::NAN; M * N];
+    let _ = health::take_report();
+    axcore_parallel::with_threads(1, || {
+        with_lut_policy(LutPolicy::Always, || {
+            with_verify_policy(VerifyPolicy::Off, || {
+                p.try_gemm(&a, M, &mut out)
+                    .unwrap_or_else(|e| panic!("{e}"));
+            })
+        })
+    });
+    let report = health::take_report().expect("degraded call must publish a report");
+    let downgrades: Vec<_> = report.downgrades().collect();
+    assert!(
+        report.recovered,
+        "every rung reads the index; recovery must answer"
+    );
+    assert!(
+        matches!(
+            downgrades.first().map(|d| d.from),
+            Some(Tier::Avx2Lut | Tier::SwarLut)
+        ),
+        "the walk must start on a LUT rung: {downgrades:?}"
+    );
+    for d in &downgrades {
+        assert_eq!(d.reason, FailReason::Panic, "{d:?}");
+    }
+    for (j, (r, o)) in reference.iter().zip(&out).enumerate() {
+        assert_eq!(r.to_bits(), o.to_bits(), "elem {j}: {r} != {o}");
+    }
+    health::reset();
+}
+
 /// A call made while a transient fault plan is armed keeps the scalar
 /// Norm → AxScale finish on the LUT tier: the AVX2 rung's fused finish
 /// has no accumulator tap, so without that fallback an armed `acc`

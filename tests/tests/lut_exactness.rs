@@ -17,11 +17,11 @@
 //! FP16 entirely (the PreAdd Guard-zero path).
 
 use axcore::engines::{
-    with_lut_policy, AxCoreEngine, ExactEngine, FignaEngine, FiglutEngine, FpmaEngine, GemmEngine,
-    LutPolicy, TenderEngine,
+    with_lut_policy, AxCoreConfig, AxCoreEngine, ExactEngine, FiglutEngine, FignaEngine,
+    FpmaEngine, GemmEngine, LutPolicy, TenderEngine,
 };
 use axcore_quant::{GroupQuantizer, QuantFormat, QuantizedMatrix};
-use axcore_softfloat::FP16;
+use axcore_softfloat::{BF16, FP16};
 use proptest::prelude::*;
 
 /// Defaults chosen so `m·k·n` clears `MIN_PARALLEL_MACS` (32·1024): the
@@ -231,6 +231,42 @@ proptest! {
             .quantize(&weights(k * n, seed, 0.4), k, n);
         let a = activations(k, seed);
         assert_lut_bit_exact(&AxCoreEngine::new(FP16), &a, 1, &q);
+    }
+}
+
+/// Row blocking of the AVX2 fold: the tier folds up to four activation
+/// rows per pass against each 8-column tile, so heights around the
+/// block size (1–5, 8, 9) and a long ragged one (33) meet every full and
+/// partial block, alone and split across 2 and 4 column shards. Block
+/// widths 1 and 2 put three units in every tile, 4 two, 8 and 64 one;
+/// widths below 8 also leave 4 remainder columns past the last tile
+/// (`n = 100`). FP16 and BF16 activations, each with FPMA (AxScale) and
+/// exact dequantization, so the fused FP16 finish and the unfused
+/// `(sig, exp)` form both run. `k = 384` keeps even `m = 1` above the
+/// parallel threshold, so the 2- and 4-worker runs really shard.
+#[test]
+fn axcore_row_blocks_lut_bit_exact() {
+    let k = 384;
+    let fp4s = [QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0];
+    let exact_dequant = AxCoreConfig {
+        fpma_dequant: false,
+        ..AxCoreConfig::default()
+    };
+    for bc in [1usize, 2, 4, 8, 64] {
+        let n = if bc == 64 {
+            128
+        } else {
+            100usize.next_multiple_of(bc)
+        };
+        let q = all_codes_matrix(k, n, 32, bc, &fp4s, bc as u64);
+        for act in [FP16, BF16] {
+            for cfg in [AxCoreConfig::default(), exact_dequant] {
+                let engine = AxCoreEngine::with_config(act, cfg);
+                for m in [1usize, 2, 3, 4, 5, 8, 9, 33] {
+                    assert_lut_bit_exact(&engine, &activations(m * k, (m * bc) as u64), m, &q);
+                }
+            }
+        }
     }
 }
 

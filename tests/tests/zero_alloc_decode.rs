@@ -5,8 +5,9 @@
 //! AxCore decode engine, runs a few warmup calls so the per-thread
 //! scratch arena and the prepared-LUT cache are populated, then arms
 //! the counter and asserts that repeated `m = 1` decode calls perform
-//! **zero** heap allocations — on the LUT gather tier
-//! (`LutPolicy::Always`, packed planes + SWAR/AVX2 gather), on the
+//! **zero** heap allocations — on the LUT tier (`LutPolicy::Always`,
+//! packed planes + SWAR/AVX2 fold, also at 4 and 8 stacked rows per
+//! call, the continuous-batching shape), on the
 //! direct per-MAC tier (`LutPolicy::Never`), and on the W4A8
 //! integer-activation tier (`ActPolicy::Always`, Q8 codes, scales,
 //! compensation sums and block dots all in arena-recycled buffers).
@@ -140,6 +141,41 @@ fn steady_state_decode_allocates_nothing() {
             });
         });
     });
+
+    // Stacked decode (a continuous batch: 4 or 8 rows per call) on the
+    // LUT tier: the AVX2 fold builds a block of row tables in the
+    // worker's table slot, and a column shard stages multi-row blocks in
+    // an arena buffer before writing them back — both recycled, so
+    // stacked decode must be as allocation-free as single rows, serially
+    // and across a 4-worker fan-out.
+    let a_stacked: Vec<f32> = (0..8 * k)
+        .map(|i| (i as u64 * 40503 % 65521) as f32 / 32760.5 - 1.0)
+        .collect();
+    let mut out_stacked = vec![0f32; 8 * n];
+    for threads in [1usize, 4] {
+        for m in [4usize, 8] {
+            axcore_parallel::with_threads(threads, || {
+                axcore_parallel::with_exec_mode(ExecMode::Pooled, || {
+                    with_lut_policy(LutPolicy::Always, || {
+                        let (a, out) = (&a_stacked[..m * k], &mut out_stacked[..m * n]);
+                        for _ in 0..3 {
+                            prepared.gemm(a, m, out);
+                        }
+                        let count = allocations_during(|| {
+                            for _ in 0..50 {
+                                prepared.gemm(a, m, out);
+                            }
+                        });
+                        assert_eq!(
+                            count, 0,
+                            "steady-state stacked decode (m = {m}) at {threads} worker(s) \
+                             made {count} heap allocations across 50 calls; expected zero"
+                        );
+                    });
+                });
+            });
+        }
+    }
 
     // W4A8 integer-activation tier: the per-call Q8 row quantization and
     // the per-column block dots all land in arena-recycled buffers, so
