@@ -1,8 +1,10 @@
 //! Multi-head causal self-attention with a hand-written backward pass.
 
+use crate::kvcache::{KvArena, KvError, SeqId};
 use crate::layers::Linear;
 use crate::ops::softmax_rows;
 use axcore::GemmError;
+use axcore_simd::{attend_row, KvPages, KvRows};
 use rand::rngs::StdRng;
 
 /// Multi-head causal self-attention over a single sequence of length `s`.
@@ -213,21 +215,31 @@ pub fn attention_context(
     attention_context_rows(q, k, v, 0, s, d, n_heads, dh)
 }
 
+/// Reusable scratch of the attention kernel: one score row and one
+/// head's context rows. Buffers grow to the largest call seen and are
+/// reused after that, so a warm scratch makes attention allocation-free.
+#[derive(Debug, Default)]
+pub struct AttnScratch {
+    scores: Vec<f32>,
+    hctx: Vec<f32>,
+}
+
 /// One head's causal attention over the `m` query rows at absolute
-/// positions `start..start + m`, against `start + m` cached K/V rows.
-/// `scores` is an `m × (start + m)` scratch, `hctx` the head's `m × dh`
-/// output. Every FP operation matches [`attention_context`]'s order, so
-/// incremental decode (`m = 1` against cached K/V) is bit-identical to
-/// the full-sequence recompute: a score row with width `start + m` and
-/// entries `0..=p` populated softmaxes to the same bits as row `p` of
-/// the full `s × s` score matrix (trailing `-inf` contributes exactly
-/// `+0.0` through `exp`), and the probability-weighted V accumulation
-/// touches the same terms in the same order.
-#[allow(clippy::too_many_arguments)] // bare geometry of the kernel: q/k/v + 5 dims + 2 scratch
-fn head_context_rows(
+/// positions `start..start + m`, reading K/V from `kv` (contiguous rows
+/// or the page-walk view of a paged cache) at row stride `d`. `scores`
+/// holds at least `start + m` floats; `hctx` receives the head's
+/// `m × dh` output.
+///
+/// Row `i` is [`axcore_simd::attend_row`] over positions
+/// `0..=start + i` only: no masked scores, and every reduction over
+/// positions runs in absolute position order. So a row computes the
+/// same bits whatever `start`/`m` split, page size or worker count
+/// produced it — incremental decode equals the full-sequence
+/// recompute.
+#[allow(clippy::too_many_arguments)] // bare geometry of the kernel: q/kv + 5 dims + 2 scratch
+fn head_context_rows<P: KvPages + ?Sized>(
     q: &[f32],
-    k: &[f32],
-    v: &[f32],
+    kv: &P,
     start: usize,
     m: usize,
     d: usize,
@@ -236,38 +248,18 @@ fn head_context_rows(
     scores: &mut [f32],
     hctx: &mut [f32],
 ) {
-    let s = start + m;
-    let scale = 1.0 / (dh as f32).sqrt();
-    scores.fill(f32::NEG_INFINITY);
-    for i in 0..m {
-        for j in 0..=(start + i) {
-            let mut acc = 0f32;
-            for e in 0..dh {
-                acc += q[i * d + h * dh + e] * k[j * d + h * dh + e];
-            }
-            scores[i * s + j] = acc * scale;
-        }
-    }
-    softmax_rows(scores, m, s);
-    hctx.fill(0.0);
-    for i in 0..m {
-        for j in 0..=(start + i) {
-            let p = scores[i * s + j];
-            if p == 0.0 {
-                continue;
-            }
-            for e in 0..dh {
-                hctx[i * dh + e] += p * v[j * d + h * dh + e];
-            }
-        }
+    for (i, out) in hctx[..m * dh].chunks_exact_mut(dh).enumerate() {
+        let qh = &q[i * d + h * dh..i * d + (h + 1) * dh];
+        attend_row(qh, kv, h * dh, start + i, scores, out);
     }
 }
 
 /// Causal attention for the `m` newest query rows (absolute positions
-/// `start..start + m`) against `start + m` cached K/V rows — the paged
-/// decode path: `q` is `m × d`, `k`/`v` are `(start + m) × d`, and the
-/// returned context is `m × d`. With `start = 0` this is exactly
-/// [`attention_context`].
+/// `start..start + m`) against `start + m` cached K/V rows, one head
+/// after another on the calling thread: `q` is `m × d`, `k`/`v` are
+/// `(start + m) × d`, and the returned context is `m × d`. With
+/// `start = 0` this is exactly [`attention_context`]; it equals
+/// [`attend`] over the same rows at any page size and worker count.
 #[allow(clippy::too_many_arguments)] // bare geometry of the kernel: q/k/v + 5 dims
 pub fn attention_context_rows(
     q: &[f32],
@@ -279,24 +271,14 @@ pub fn attention_context_rows(
     n_heads: usize,
     dh: usize,
 ) -> Vec<f32> {
-    let s = start + m;
     let mut ctx = vec![0f32; m * d];
-    let mut scores = vec![0f32; m * s];
-    let mut hctx = vec![0f32; m * dh];
-    for h in 0..n_heads {
-        head_context_rows(q, k, v, start, m, d, h, dh, &mut scores, &mut hctx);
-        for i in 0..m {
-            ctx[i * d + h * dh..i * d + (h + 1) * dh].copy_from_slice(&hctx[i * dh..(i + 1) * dh]);
-        }
-    }
+    let kv = KvRows::new(k, v, d);
+    attend_serial(q, &kv, start, m, d, n_heads, dh, &mut AttnScratch::default(), &mut ctx);
     ctx
 }
 
 /// [`attention_context_rows`] sharded across heads over the worker pool
-/// (the PR 6 `ShardPlan` dispatch): each shard owns whole heads — shard
-/// boundaries align to `dh` — and writes only its own context columns.
-/// Per-head work is fully independent, so the result is bit-identical
-/// to the serial path at every worker count; small calls stay serial.
+/// ([`attend`] over contiguous rows).
 #[allow(clippy::too_many_arguments)] // bare geometry of the kernel: q/k/v + 5 dims
 pub fn attention_context_rows_sharded(
     q: &[f32],
@@ -308,6 +290,33 @@ pub fn attention_context_rows_sharded(
     n_heads: usize,
     dh: usize,
 ) -> Vec<f32> {
+    let mut ctx = vec![0f32; m * d];
+    let kv = KvRows::new(k, v, d);
+    attend(q, &kv, start, m, d, n_heads, dh, &mut AttnScratch::default(), &mut ctx);
+    ctx
+}
+
+/// Causal attention of the `m` query rows at absolute positions
+/// `start..start + m` (`q` is `m × d`) against the first `start + m`
+/// K/V rows of `kv`, written to `ctx` (`m × d`). Above a work floor the
+/// heads are sharded over the worker pool through a `ShardPlan`: each
+/// shard owns whole heads — shard boundaries align to `dh` — and writes
+/// only its own context columns. Per-head work is
+/// fully independent, so the result is bit-identical to the serial path
+/// at every worker count. Below the floor the heads run on the calling
+/// thread in `scratch`, allocating nothing once it is warm.
+#[allow(clippy::too_many_arguments)] // bare geometry of the kernel: q/kv + 5 dims + scratch/out
+pub fn attend<P: KvPages + Sync + ?Sized>(
+    q: &[f32],
+    kv: &P,
+    start: usize,
+    m: usize,
+    d: usize,
+    n_heads: usize,
+    dh: usize,
+    scratch: &mut AttnScratch,
+    ctx: &mut [f32],
+) {
     let s = start + m;
     // Mirror the GEMM layer's parallelism floor (ops.rs): below it the
     // dispatch overhead dominates the head loop.
@@ -317,16 +326,19 @@ pub fn attention_context_rows_sharded(
     } else {
         axcore_parallel::current_threads().min(n_heads)
     };
+    if workers == 1 {
+        attend_serial(q, kv, start, m, d, n_heads, dh, scratch, ctx);
+        return;
+    }
     let plan = axcore_parallel::ShardPlan::new(d, workers, dh);
-    let mut ctx = vec![0f32; m * d];
     axcore_parallel::par_shards_with(
-        &mut ctx,
+        ctx,
         m,
         &plan,
-        || (vec![0f32; m * s], vec![0f32; m * dh]),
+        || (vec![0f32; s], vec![0f32; m * dh]),
         |(scores, hctx), shard, slice| {
             for h in (shard.col0 / dh)..((shard.col0 + shard.cols) / dh) {
-                head_context_rows(q, k, v, start, m, d, h, dh, scores, hctx);
+                head_context_rows(q, kv, start, m, d, h, dh, scores, hctx);
                 let off = h * dh - shard.col0;
                 for i in 0..m {
                     slice.row(i)[off..off + dh].copy_from_slice(&hctx[i * dh..(i + 1) * dh]);
@@ -334,7 +346,60 @@ pub fn attention_context_rows_sharded(
             }
         },
     );
-    ctx
+}
+
+/// [`attend`] on the calling thread, in `scratch`.
+#[allow(clippy::too_many_arguments)] // as `attend`
+fn attend_serial<P: KvPages + ?Sized>(
+    q: &[f32],
+    kv: &P,
+    start: usize,
+    m: usize,
+    d: usize,
+    n_heads: usize,
+    dh: usize,
+    scratch: &mut AttnScratch,
+    ctx: &mut [f32],
+) {
+    scratch.scores.resize(start + m, 0.0);
+    scratch.hctx.resize(m * dh, 0.0);
+    for h in 0..n_heads {
+        head_context_rows(q, kv, start, m, d, h, dh, &mut scratch.scores, &mut scratch.hctx);
+        for (i, row) in scratch.hctx.chunks_exact(dh).enumerate() {
+            ctx[i * d + h * dh..i * d + (h + 1) * dh].copy_from_slice(row);
+        }
+    }
+}
+
+/// One layer of a stacked decode step's attention: for each item
+/// `(seq, pos)` (one new token per sequence, whose query, key and value
+/// rows are row `r` of `q`/`k`/`v`), append the K/V row at `pos`, then
+/// attend the query through the sequence's page-walk view
+/// ([`KvArena::try_view`]) into row `r` of `ctx`. Rows are the arena's
+/// `d` floats wide. One `scratch` serves every item, so a warm stacked
+/// loop allocates nothing below the sharding floor.
+///
+/// Stops at the first failing item with its [`KvError`].
+#[allow(clippy::too_many_arguments)] // arena/layer/items + q/k/v + scratch/out
+pub fn try_attend_stacked(
+    arena: &mut KvArena,
+    layer: usize,
+    items: impl IntoIterator<Item = (SeqId, usize)>,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scratch: &mut AttnScratch,
+    ctx: &mut [f32],
+) -> Result<(), KvError> {
+    let (d, n_heads) = arena.shape();
+    let dh = d / n_heads;
+    for (r, (seq, pos)) in items.into_iter().enumerate() {
+        let row = r * d..(r + 1) * d;
+        arena.try_append(seq, layer, pos, &k[row.clone()], &v[row.clone()])?;
+        let view = arena.try_view(seq, layer, pos + 1)?;
+        attend(&q[row.clone()], &view, pos, 1, d, n_heads, dh, scratch, &mut ctx[row]);
+    }
+    Ok(())
 }
 
 /// Exact attention probabilities for one head (used by the KV-quantized
@@ -351,6 +416,7 @@ pub fn causal_softmax(scores: &mut [f32], s: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
     #[test]
@@ -446,6 +512,86 @@ mod tests {
                 });
                 assert_eq!(bits(&sharded), bits(&rows), "split {start}, {workers} workers");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Attention through the page-walk view equals attention over the
+        /// same rows copied out by `try_gather`, bit for bit: committed
+        /// pages, a partly filled tail page and an uncommitted hot window,
+        /// at every page size, prefill/decode split and worker count.
+        #[test]
+        fn view_attention_equals_gathered_rows(
+            block_pick in 0usize..3, dh_pick in 0usize..4, len in 1usize..40, m_pick in 0usize..3,
+            seed in 0u64..1_000_000
+        ) {
+            let block = [1, 3, 16][block_pick];
+            let dh = [2, 3, 4, 16][dh_pick];
+            let m = [1, 2, 7][m_pick].min(len);
+            let (nh, nl) = (3, 2);
+            let d = nh * dh;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut gen =
+                |n: usize| -> Vec<f32> { (0..n).map(|_| rng.random_range(-2.0..2.0f32)).collect() };
+            let (k, v, q) = (gen(len * d), gen(len * d), gen(m * d));
+            let cfg = crate::kvcache::KvPageConfig {
+                block,
+                verify: Some(axcore::reliability::VerifyPolicy::Full),
+                ..Default::default()
+            };
+            let mut arena = KvArena::new(nl, d, nh, cfg);
+            let seq = arena.try_join().expect("join");
+            let committed = len - m;
+            for layer in 0..nl {
+                let (kc, vc) = (&k[..committed * d], &v[..committed * d]);
+                arena.try_append(seq, layer, 0, kc, vc).expect("append");
+            }
+            arena.try_commit(seq, committed).expect("commit");
+            for layer in 0..nl {
+                let (kh, vh) = (&k[committed * d..], &v[committed * d..]);
+                arena.try_append(seq, layer, committed, kh, vh).expect("hot append");
+            }
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (mut kf, mut vf) = (Vec::new(), Vec::new());
+            arena.try_gather(seq, 1, len, &mut kf, &mut vf).expect("gather");
+            let want = attention_context_rows(&q, &kf, &vf, committed, m, d, nh, dh);
+            for workers in [1, 2, 4] {
+                let mut ctx = vec![0f32; m * d];
+                let view = arena.try_view(seq, 1, len).expect("view");
+                axcore_parallel::with_threads(workers, || {
+                    let mut scratch = AttnScratch::default();
+                    attend(&q, &view, committed, m, d, nh, dh, &mut scratch, &mut ctx);
+                });
+                prop_assert_eq!(bits(&ctx), bits(&want), "block {} dh {} x{}", block, dh, workers);
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_view_attention_matches_serial_rows() {
+        // 8 rows at 300 positions, d = 64: past the sharding floor, so
+        // 2 and 4 workers split the heads over the pool.
+        let (nh, dh, len, m) = (4, 16, 300, 8);
+        let d = nh * dh;
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut gen =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.random_range(-2.0..2.0f32)).collect() };
+        let (k, v, q) = (gen(len * d), gen(len * d), gen(m * d));
+        let mut arena = KvArena::new(1, d, nh, crate::kvcache::KvPageConfig::default());
+        let seq = arena.try_join().expect("join");
+        arena.try_append(seq, 0, 0, &k, &v).expect("append");
+        arena.try_commit(seq, len).expect("commit");
+        let want = attention_context_rows(&q, &k, &v, len - m, m, d, nh, dh);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for workers in [1, 2, 4] {
+            let mut ctx = vec![0f32; m * d];
+            let view = arena.try_view(seq, 0, len).expect("view");
+            axcore_parallel::with_threads(workers, || {
+                attend(&q, &view, len - m, m, d, nh, dh, &mut AttnScratch::default(), &mut ctx);
+            });
+            assert_eq!(bits(&ctx), bits(&want), "{workers} workers");
         }
     }
 

@@ -11,7 +11,7 @@
 //!   along the accumulation dimension;
 //! * Tender quantizes activations too (integer-only GEMM).
 
-use crate::attention::causal_softmax;
+use crate::attention::{attend, causal_softmax, try_attend_stacked, AttnScratch};
 use crate::kvcache::{KvArena, KvError, KvPageConfig, SeqId};
 use crate::layers::apply_act;
 use crate::model::TransformerLm;
@@ -587,7 +587,7 @@ impl QuantizedLm {
     /// positions `start..start + m`) against its paged KV cache,
     /// returning the `m × vocab` logits rows. Appends the new K/V rows
     /// to `arena` as a **hot FP tail**; the caller commits the advance
-    /// with [`KvArena::commit`] after the pass succeeds (which is when a
+    /// with [`KvArena::try_commit`] after the pass succeeds (which is when a
     /// quantized arena seals newly filled pages).
     ///
     /// With FP pages this is byte-identical to the matching rows of
@@ -595,9 +595,12 @@ impl QuantizedLm {
     /// stage is row-independent — embeddings, LayerNorm, the prepared
     /// GEMMs (each output element depends only on its own activation
     /// row; see `axcore::engines::prepared`), bias adds, residuals —
-    /// and the causal attention over gathered K/V reproduces the
-    /// full-sequence score rows bit-for-bit
-    /// (`crate::attention::attention_context_rows`). The scheme's
+    /// and attention reads the cached K/V in place through the arena's
+    /// page-walk view ([`KvArena::try_view`]) with the same kernel as
+    /// the full forward, which computes each row over its causal prefix
+    /// in absolute position order, bit-for-bit whatever the page size
+    /// or the split into cached and new rows
+    /// ([`crate::attention::attend`]). The scheme's
     /// whole-matrix KV re-quantization (`Scheme::AxCoreKv` / Tender) is
     /// a per-window measurement path and is **not** applied here; paged
     /// KV quantization is the arena's own page-sealing, selected by
@@ -605,7 +608,7 @@ impl QuantizedLm {
     ///
     /// Failures are typed by layer: a dense-stage failure surfaces as
     /// [`PagedError::Gemm`], a KV-arena failure — capacity exhaustion or
-    /// a checksum mismatch detected on gather — as [`PagedError::Kv`],
+    /// a checksum mismatch detected by the view — as [`PagedError::Kv`],
     /// which the scheduler turns into backpressure or
     /// repair-by-recomputation rather than a failed request.
     pub fn try_forward_paged(
@@ -625,18 +628,16 @@ impl QuantizedLm {
         let te = self.src.tok_emb.forward_infer(new_tokens);
         let pe = self.src.pos_emb.forward_infer(&pos);
         let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
-        let mut kf = Vec::new();
-        let mut vf = Vec::new();
+        let mut scratch = AttnScratch::default();
         for (li, (b, qb)) in self.src.blocks.iter().zip(&self.blocks).enumerate() {
             let h = b.ln1.forward_infer(&x, m);
             let q = self.try_linear(&qb.wq, &h, m)?;
             let k = self.try_linear(&qb.wk, &h, m)?;
             let v = self.try_linear(&qb.wv, &h, m)?;
             arena.try_append(seq, li, start, &k, &v)?;
-            arena.try_gather(seq, li, s, &mut kf, &mut vf)?;
-            let ctx = crate::attention::attention_context_rows_sharded(
-                &q, &kf, &vf, start, m, d, nh, dh,
-            );
+            let mut ctx = vec![0f32; m * d];
+            let view = arena.try_view(seq, li, s)?;
+            attend(&q, &view, start, m, d, nh, dh, &mut scratch, &mut ctx);
             let a = self.try_linear(&qb.wo, &ctx, m)?;
             let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
             let h2 = b.ln2.forward_infer(&x1, m);
@@ -658,8 +659,9 @@ impl QuantizedLm {
     /// stages (embeddings, LayerNorm, every prepared GEMM, residuals)
     /// run once over the stacked rows instead of once per sequence,
     /// amortising per-call dispatch and verification across the whole
-    /// batch; only attention walks each sequence's own block table. Row
-    /// `r` is byte-identical to
+    /// batch; only attention walks each sequence's own block table
+    /// ([`crate::attention::try_attend_stacked`], one scratch for every
+    /// item). Row `r` is byte-identical to
     /// [`QuantizedLm::try_forward_paged`]`(&[token], start, …)` for that
     /// sequence alone, because every dense stage computes each output
     /// row from its own activation row only (the same row-independence
@@ -676,37 +678,21 @@ impl QuantizedLm {
     ) -> Result<Vec<f32>, PagedError> {
         let cfg = &self.src.cfg;
         let d = cfg.d_model;
-        let nh = cfg.n_heads;
-        let dh = d / nh;
         let m = items.len();
         let tokens: Vec<usize> = items.iter().map(|&(_, _, t)| t).collect();
         let pos: Vec<usize> = items.iter().map(|&(_, start, _)| start).collect();
         let te = self.src.tok_emb.forward_infer(&tokens);
         let pe = self.src.pos_emb.forward_infer(&pos);
         let mut x: Vec<f32> = te.iter().zip(&pe).map(|(a, b)| a + b).collect();
-        let mut kf = Vec::new();
-        let mut vf = Vec::new();
+        let mut scratch = AttnScratch::default();
         for (li, (b, qb)) in self.src.blocks.iter().zip(&self.blocks).enumerate() {
             let h = b.ln1.forward_infer(&x, m);
             let q = self.try_linear(&qb.wq, &h, m)?;
             let k = self.try_linear(&qb.wk, &h, m)?;
             let v = self.try_linear(&qb.wv, &h, m)?;
             let mut ctx = vec![0f32; m * d];
-            for (r, &(seq, start, _)) in items.iter().enumerate() {
-                arena.try_append(seq, li, start, &k[r * d..(r + 1) * d], &v[r * d..(r + 1) * d])?;
-                arena.try_gather(seq, li, start + 1, &mut kf, &mut vf)?;
-                let c = crate::attention::attention_context_rows_sharded(
-                    &q[r * d..(r + 1) * d],
-                    &kf,
-                    &vf,
-                    start,
-                    1,
-                    d,
-                    nh,
-                    dh,
-                );
-                ctx[r * d..(r + 1) * d].copy_from_slice(&c);
-            }
+            let positions = items.iter().map(|&(seq, start, _)| (seq, start));
+            try_attend_stacked(arena, li, positions, &q, &k, &v, &mut scratch, &mut ctx)?;
             let a = self.try_linear(&qb.wo, &ctx, m)?;
             let x1: Vec<f32> = x.iter().zip(&a).map(|(p, q)| p + q).collect();
             let h2 = b.ln2.forward_infer(&x1, m);

@@ -11,6 +11,12 @@
 //! recycled through the arena's own page free list on leave (keeping
 //! page churn out of the depth-bounded per-thread cache).
 //!
+//! Attention reads the cache in place: [`KvArena::try_view`] verifies a
+//! sequence's prefix for one layer and returns a [`KvView`], which hands
+//! the attention kernel (`axcore_simd::attend_row`) the rows of each
+//! page at stride `d_model`, borrowing the block table. Nothing is
+//! copied; [`try_gather`](KvArena::try_gather) is that view plus a copy.
+//!
 //! # Quantize-on-fill
 //!
 //! With [`KvPageConfig::quant`] set, a page is **sealed** the moment the
@@ -20,10 +26,11 @@
 //! along the position axis (the accumulation axis of `P·V`), then
 //! dequantized back in place. Resident KV beyond the hot tail is thereby
 //! exactly 4-bit-representable — the accuracy consequence the paper's
-//! §6.5.2 measures — while the gather/attention path stays a single FP
-//! kernel (a hardware port would store the codes and dequantize in the
-//! PE; the value stream is identical). The hot tail (the most recent,
-//! partially filled page) stays FP until it fills.
+//! §6.5.2 measures — while attention reads sealed and hot pages alike
+//! through the one FP kernel and the same page-walk view (a hardware
+//! port would store the codes and dequantize in the PE; the value
+//! stream is identical). The hot tail (the most recent, partially
+//! filled page) stays FP until it fills.
 //!
 //! With `quant: None` (the default), pages are plain FP32 and paged
 //! decode is **byte-identical** to the serial non-cached forward — the
@@ -37,7 +44,8 @@
 //!
 //! * **Fallible API** — [`try_join`](KvArena::try_join),
 //!   [`try_append`](KvArena::try_append),
-//!   [`try_commit`](KvArena::try_commit) and
+//!   [`try_commit`](KvArena::try_commit),
+//!   [`try_view`](KvArena::try_view) and
 //!   [`try_gather`](KvArena::try_gather) return [`KvError`] for dead
 //!   handles, shape mismatches, out-of-range positions, capacity
 //!   exhaustion and detected corruption.
@@ -50,35 +58,36 @@
 //!   [`mix`]-folded checksum bound to its owner `(sequence, table
 //!   index, covered length)`. Sealed (fully covered, possibly
 //!   quantized) pages are checksummed at seal time, the hot FP tail at
-//!   every commit. `try_gather` re-folds and compares under the active
+//!   every commit. `try_view` re-folds and compares under the active
 //!   [`VerifyPolicy`] (`Off`/`Sample(p)`/`Full`); a mismatch — a
 //!   flipped page bit *or* a flipped block-table entry, which the owner
 //!   binding catches — surfaces as [`KvError::CorruptPage`] naming the
 //!   poisoned sequence, and the scheduler heals it by recomputation.
 //! * **Hot-window integrity** — positions appended but not yet
-//!   committed (the in-pass hot window that `try_gather` may
-//!   legitimately read before `try_commit`) carry a per-layer rolling
-//!   checksum refolded on every [`try_append`](KvArena::try_append) and
-//!   verified by any gather that reads past the committed length, so no
+//!   committed (the in-pass hot window that a view may legitimately
+//!   read before `try_commit`) carry a per-layer rolling checksum
+//!   refolded on every [`try_append`](KvArena::try_append) and verified
+//!   by any view that reads past the committed length, so no
 //!   resident KV bytes are ever unprotected.
 //! * **Erasure coding** (DESIGN.md §14) — with
 //!   [`KvPageConfig::parity`] set (`AXCORE_KV_PARITY`, default group
 //!   size 8), sealed pages join fixed-size **parity groups**, each
 //!   owning one XOR parity page maintained incrementally as members
 //!   seal and free. A detected [`KvError::CorruptPage`] whose page
-//!   binding matches the gather first attempts in-place
+//!   binding matches the view first attempts in-place
 //!   **reconstruction** from parity + surviving siblings — O(one page)
 //!   instead of the O(prefix) recompute — accepting the result only if
 //!   the owner-bound checksum re-verifies. Degraded groups (parity
 //!   page itself corrupt, or ≥ 2 losses) fall back to the recompute
 //!   path. [`scrub`](KvArena::scrub) walks cold pages and parity pages
 //!   under a caller-supplied budget so latent corruption is repaired
-//!   before a gather trips over it.
+//!   before a view trips over it.
 
 use axcore::reliability::{mix, VerifyPolicy, CHECKSUM_SEED};
 use axcore_parallel::arena::{self, ArenaVec};
 use axcore_parallel::env;
 use axcore_quant::KvQuantConfig;
+use axcore_simd::KvPages;
 
 /// Default positions per KV page (`AXCORE_KV_BLOCK` overrides).
 pub const DEFAULT_KV_BLOCK: usize = 16;
@@ -120,7 +129,7 @@ pub enum KvError {
         /// Model width the arena was built for.
         d: usize,
     },
-    /// A commit or gather addressed positions beyond the sequence's
+    /// A commit or read addressed positions beyond the sequence's
     /// allocated pages.
     OutOfBounds {
         /// First position that does not exist.
@@ -141,7 +150,7 @@ pub enum KvError {
     /// `max_pages` was zero at config construction.
     ZeroCapacity,
     /// A checksum mismatch (or an out-of-slab block-table entry) was
-    /// detected while gathering: the sequence's cached state can no
+    /// detected by a verified read: the sequence's cached state can no
     /// longer be trusted and must be recomputed.
     CorruptPage {
         /// The poisoned sequence.
@@ -319,7 +328,7 @@ struct Page {
     covered: usize,
     /// [`mix`] fold over `(owner slot, table index, covered, K words,
     /// V words)` of the covered region. Bound to the owner so a flipped
-    /// block-table entry — which lands the gather on a *self-consistent
+    /// block-table entry — which lands a read on a *self-consistent
     /// but wrong* page — still mismatches.
     sum: u64,
     /// Parity group this page belongs to, `usize::MAX` when ungrouped
@@ -385,8 +394,8 @@ pub struct KvArena {
     scrub_cursor: usize,
     live_pages: usize,
     peak_pages: usize,
-    /// `try_gather` calls — the sampling clock for `VerifyPolicy::Sample`.
-    gathers: u64,
+    /// `try_view` calls — the sampling clock for `VerifyPolicy::Sample`.
+    views: u64,
     /// Pages whose checksum was re-folded and compared.
     pages_verified: u64,
     /// Checksum mismatches (and out-of-slab table entries) detected.
@@ -414,6 +423,39 @@ impl std::fmt::Debug for KvArena {
             .field("max_pages", &self.max_pages)
             .field("quant", &self.quant.is_some())
             .finish()
+    }
+}
+
+/// One sequence's K/V rows for one layer, verified by
+/// [`KvArena::try_view`] and borrowed from the arena's pages: attention
+/// reads them in place, a page at a time, at row stride `d`
+/// ([`KvPages`]). It borrows the sequence's block table, so making one
+/// allocates nothing, and the arena cannot change while it lives.
+pub struct KvView<'a> {
+    pages: &'a [Page],
+    /// The block-table entries covering the viewed positions, each
+    /// checked to lie inside `pages`.
+    table: &'a [usize],
+    layer_off: usize,
+    block: usize,
+    d: usize,
+}
+
+impl KvPages for KvView<'_> {
+    fn block(&self) -> usize {
+        self.block
+    }
+
+    fn stride(&self) -> usize {
+        self.d
+    }
+
+    /// Page `idx`'s rows of the view's layer: the whole page, of which
+    /// only the positions the view was made for were verified.
+    fn page(&self, idx: usize) -> (&[f32], &[f32]) {
+        let pg = &self.pages[self.table[idx]];
+        let rows = self.layer_off..self.layer_off + self.block * self.d;
+        (&pg.k[rows.clone()], &pg.v[rows])
     }
 }
 
@@ -454,7 +496,7 @@ impl KvArena {
             scrub_cursor: 0,
             live_pages: 0,
             peak_pages: 0,
-            gathers: 0,
+            views: 0,
             pages_verified: 0,
             corruptions: 0,
             reconstructions: 0,
@@ -468,6 +510,11 @@ impl KvArena {
     /// Positions per page.
     pub fn block(&self) -> usize {
         self.block
+    }
+
+    /// Row width and heads per row the arena was built for.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.d, self.n_heads)
     }
 
     /// Pages currently owned by live sequences.
@@ -490,7 +537,7 @@ impl KvArena {
         self.quant.is_some()
     }
 
-    /// Pages whose committed region was checksum-verified on gather.
+    /// Pages whose committed region was checksum-verified by a view.
     pub fn pages_verified(&self) -> u64 {
         self.pages_verified
     }
@@ -649,7 +696,7 @@ impl KvArena {
         }
         let id = match self.free.pop() {
             // Reused pages keep stale contents; every position is
-            // written before `gather` reads it, and `covered`/`sum`
+            // written before a view reads it, and `covered`/`sum`
             // were cleared when the page was freed.
             Some(id) => id,
             None => {
@@ -1181,39 +1228,37 @@ impl KvArena {
         }
     }
 
-    /// Whether this gather verifies checksums, per the arena's pinned
+    /// Whether this view verifies checksums, per the arena's pinned
     /// policy or the ambient [`VerifyPolicy`]. Advances the sampling
     /// clock.
     fn should_verify(&mut self) -> bool {
         let policy = self.verify.unwrap_or_else(axcore::reliability::current_verify_policy);
-        self.gathers = self.gathers.wrapping_add(1);
+        self.views = self.views.wrapping_add(1);
         match policy {
             VerifyPolicy::Off => false,
             VerifyPolicy::Full => true,
-            VerifyPolicy::Sample(p) => self.gathers.is_multiple_of(u64::from(p.max(1))),
+            VerifyPolicy::Sample(p) => self.views.is_multiple_of(u64::from(p.max(1))),
         }
     }
 
-    /// Copy the first `len` cached K/V rows of `layer` into contiguous
-    /// `len × d` buffers (resized as needed). Positions beyond the
-    /// committed length may be read immediately after
-    /// [`try_append`](KvArena::try_append) within the same forward pass
-    /// (the FP hot tail).
+    /// Verify the first `len` cached K/V rows of `layer` and borrow them
+    /// as a [`KvView`] that attention reads page by page, in place.
+    /// Positions beyond the committed length may be read immediately
+    /// after [`try_append`](KvArena::try_append) within the same forward
+    /// pass (the FP hot tail).
     ///
-    /// Under the active [`VerifyPolicy`] (the arena's pinned
-    /// [`KvPageConfig::verify`], else the ambient policy) the committed
-    /// region of every page touched is checksum-verified; a mismatch
-    /// fails with [`KvError::CorruptPage`] naming the poisoned sequence,
-    /// and the output buffers must be considered garbage.
-    pub fn try_gather(
-        &mut self,
-        id: SeqId,
-        layer: usize,
-        len: usize,
-        k_out: &mut Vec<f32>,
-        v_out: &mut Vec<f32>,
-    ) -> Result<(), KvError> {
-        let (d, block) = (self.d, self.block);
+    /// Every call ticks the [`VerifyPolicy::Sample`] clock once. Under
+    /// the active policy (the arena's pinned [`KvPageConfig::verify`],
+    /// else the ambient one) the hot window's rolling checksum is
+    /// verified when `len` reaches into it, and the committed region of
+    /// every page the view covers is re-folded and compared; a corrupt
+    /// page whose owner binding matches is first reconstructed in place
+    /// from parity. An unrepaired mismatch fails with
+    /// [`KvError::CorruptPage`] naming the poisoned sequence. Block-table
+    /// entries outside the page slab fail the same way on every call,
+    /// verified or not.
+    pub fn try_view(&mut self, id: SeqId, layer: usize, len: usize) -> Result<KvView<'_>, KvError> {
+        let block = self.block;
         let Some(seq) = self.seq(id) else { return Err(KvError::DeadSequence) };
         let (committed, capacity) = (seq.len, seq.table.len() * block);
         if len > capacity {
@@ -1239,48 +1284,66 @@ impl KvArena {
                 }
             }
         }
-        k_out.resize(len * d, 0.0);
-        v_out.resize(len * d, 0.0);
-        let layer_off = layer * block * d;
-        let mut pos = 0usize;
-        while pos < len {
-            let idx = pos / block;
+        let pages = len.div_ceil(block);
+        for idx in 0..pages {
             let Some(page) = self.page_at(id, idx).filter(|&p| p < self.pages.len()) else {
                 // A block-table entry pointing outside the slab can only
                 // come from corruption of the table itself.
                 self.corruptions += 1;
                 return Err(KvError::CorruptPage { seq: id, index: idx });
             };
-            if verify {
-                let covered = committed.saturating_sub(idx * block).min(block);
-                if covered > 0 {
-                    self.pages_verified += 1;
-                    if self.page_sum(id.0, idx, page, covered) != self.pages[page].sum {
-                        self.corruptions += 1;
-                        // Repair decision tree (DESIGN.md §14): when the
-                        // page's own binding record agrees with what the
-                        // gather expects, the page *content* flipped —
-                        // try the O(one page) parity reconstruction. A
-                        // binding disagreement means the block table (or
-                        // the binding) flipped, which parity cannot
-                        // arbitrate; and a degraded group refuses. Both
-                        // fall through to the recompute path.
-                        let pg = &self.pages[page];
-                        let bound_ok =
-                            pg.owner == id.0 && pg.index == idx && pg.covered == covered;
-                        if !(bound_ok && self.try_reconstruct(page)) {
-                            return Err(KvError::CorruptPage { seq: id, index: idx });
-                        }
+            let covered = committed.saturating_sub(idx * block).min(block);
+            if verify && covered > 0 {
+                self.pages_verified += 1;
+                if self.page_sum(id.0, idx, page, covered) != self.pages[page].sum {
+                    self.corruptions += 1;
+                    // Repair decision tree (DESIGN.md §14): when the
+                    // page's own binding record agrees with what the view
+                    // expects, the page *content* flipped — try the
+                    // O(one page) parity reconstruction. A binding
+                    // disagreement means the block table (or the
+                    // binding) flipped, which parity cannot arbitrate;
+                    // and a degraded group refuses. Both fall through to
+                    // the recompute path.
+                    let pg = &self.pages[page];
+                    let bound_ok = pg.owner == id.0 && pg.index == idx && pg.covered == covered;
+                    if !(bound_ok && self.try_reconstruct(page)) {
+                        return Err(KvError::CorruptPage { seq: id, index: idx });
                     }
                 }
             }
-            let in_page = pos % block;
-            let take = (block - in_page).min(len - pos);
-            let src = layer_off + in_page * d;
-            let pg = &self.pages[page];
-            k_out[pos * d..(pos + take) * d].copy_from_slice(&pg.k[src..src + take * d]);
-            v_out[pos * d..(pos + take) * d].copy_from_slice(&pg.v[src..src + take * d]);
-            pos += take;
+        }
+        let Some(seq) = self.seq(id) else { return Err(KvError::DeadSequence) };
+        Ok(KvView {
+            pages: &self.pages,
+            table: &seq.table[..pages],
+            layer_off: layer * block * self.d,
+            block,
+            d: self.d,
+        })
+    }
+
+    /// Copy the first `len` cached K/V rows of `layer` into contiguous
+    /// `len × d` buffers (resized as needed): [`try_view`](KvArena::try_view)
+    /// followed by a page-by-page copy, so it runs exactly the view's
+    /// checks. On error the output buffers are left as they were.
+    pub fn try_gather(
+        &mut self,
+        id: SeqId,
+        layer: usize,
+        len: usize,
+        k_out: &mut Vec<f32>,
+        v_out: &mut Vec<f32>,
+    ) -> Result<(), KvError> {
+        let view = self.try_view(id, layer, len)?;
+        let (block, d) = (view.block, view.d);
+        k_out.resize(len * d, 0.0);
+        v_out.resize(len * d, 0.0);
+        for idx in 0..len.div_ceil(block) {
+            let (k, v) = view.page(idx);
+            let (from, to) = (idx * block * d, len.min((idx + 1) * block) * d);
+            k_out[from..to].copy_from_slice(&k[..to - from]);
+            v_out[from..to].copy_from_slice(&v[..to - from]);
         }
         Ok(())
     }
@@ -1328,7 +1391,7 @@ impl KvArena {
     /// `word` of [`seq_fault_surface`](KvArena::seq_fault_surface), bit
     /// `bit` (< 32 for f32 page words, < 64 for table entries). Returns
     /// whether a bit was flipped. Checksums are deliberately **not**
-    /// updated: this models an SEU, and the next verified gather must
+    /// updated: this models an SEU, and the next verified read must
     /// detect it.
     pub fn inject_seq_fault(&mut self, id: SeqId, site: &str, word: usize, bit: u32) -> bool {
         if word >= self.seq_fault_surface(id, site) {

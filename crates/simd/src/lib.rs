@@ -3,7 +3,9 @@
 //! LUT fold (in-register table lookup, a block of activation rows per
 //! call), the FP16 stages around it (activation encode, table build,
 //! fused Norm → AxScale finish) and the W4A8 integer block dot
-//! (`vpmaddubsw`).
+//! (`vpmaddubsw`) — and the causal attention kernel every `axcore-nn`
+//! inference path calls, which reads K/V rows in place from the paged
+//! KV cache.
 //!
 //! Everything else in the workspace builds under
 //! `#![forbid(unsafe_code)]`; quarantining the vector kernels here keeps
@@ -20,7 +22,8 @@
 //! by a safe entry point after `avx2_available()` and the checks that
 //! discharge the function's `# Safety` contract. No load address in
 //! any of them depends on data: the LUT fold looks weight codes up in
-//! registers (`vpermd`), never in memory.
+//! registers (`vpermd`), never in memory, and attention reads rows at
+//! fixed strides from the pages the caller hands it.
 //!
 //! | kernel | entry points | obligations checked by the entry point |
 //! |---|---|---|
@@ -29,6 +32,7 @@
 //! | `avx2_build_rows_fp16` | [`build_rows_fp16`] | 32 addends, 16 signs, 16 outputs per element |
 //! | `avx2_finish_add` | [`finish_fp16`], [`fold_rows_finish_fp16`] | none beyond AVX2: every operand is a fixed 8-lane array |
 //! | `avx2_block_dots_u8i8` | [`block_dots_u8i8`] | equal lengths, whole 32-byte blocks |
+//! | `attend_row_avx2` (+ `avx2_scores`, `avx2_pv`) | [`attend_row`] | `dh` a multiple of 8 (else the portable body runs), output row of `dh` floats, score row of at least `pos + 1` floats, the head's columns inside the row stride, and every page sliced to exactly the rows the causal prefix reads from it (`(rows − 1) · stride + dh` floats past the head's column, checked arithmetic) before its rows are loaded |
 //!
 //! # Table entry layout
 //!
@@ -50,8 +54,10 @@
 
 #![warn(missing_docs)]
 
+mod attention;
 mod fp16;
 
+pub use attention::{attend_row, KvPages, KvRows};
 pub use fp16::{
     build_rows_fp16, encode_fp16, finish_fp16, fold_rows_finish_fp16, scalar_build_rows_fp16,
     scalar_encode_fp16, scalar_finish_fp16,
@@ -73,15 +79,17 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// One-shot power-on self test of the LUT tier's vector kernels: run a
-/// small deterministic pattern through the AVX2 row-block fold (one to
+/// One-shot power-on self test of the vector kernels: run a small
+/// deterministic pattern through the AVX2 row-block fold (one to
 /// [`FOLD_ROWS`] rows, one- and two-unit tiles), FP16 encode, table
-/// build and fused finish, and through their scalar references.
+/// build, fused finish and the attention kernel with its `exp`, and
+/// through their portable references.
 /// Returns `true` when every pair agrees bit-for-bit (or when the CPU
 /// has no AVX2, in which case no vector path can run). Cached after the
 /// first call; the reliability ladder consults it before trusting the
-/// AVX2 tier, so a machine whose vector unit fails *any* of the kernels
-/// loses the whole rung instead of silently corrupting.
+/// AVX2 tier, and [`attend_row`] before taking its AVX2 body, so a
+/// machine whose vector unit fails *any* of the kernels loses the whole
+/// rung instead of silently corrupting.
 pub fn self_test() -> bool {
     use std::sync::OnceLock;
     static RESULT: OnceLock<bool> = OnceLock::new();
@@ -131,6 +139,7 @@ pub fn self_test() -> bool {
                 })
             })
         }) && fp16::self_check()
+            && attention::self_check()
     })
 }
 

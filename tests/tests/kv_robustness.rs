@@ -360,6 +360,58 @@ fn scheduler_recomputes_degraded_group_bit_exact() {
     assert_eq!(tokens.expect("finished"), serial, "recompute repair is bit-exact");
 }
 
+/// The forward path verifies through the page-walk view exactly as a
+/// gather does: a flipped sealed-page bit read by `try_forward_paged`
+/// under `VerifyPolicy::Full` is detected and reconstructed in place —
+/// the logits equal an undisturbed arena's bit for bit — and the
+/// arena's `pages_verified` / `corruptions_detected` / `reconstructions`
+/// counters advance exactly as the same reads through `try_gather` do.
+#[test]
+fn forward_through_the_view_detects_and_reconstructs_like_a_gather() {
+    let q = qlm();
+    let kv = KvPageConfig { block: 4, verify: Some(VerifyPolicy::Full), ..Default::default() };
+    let prompt = [1usize, 4, 2, 7, 3, 3, 9, 5, 6];
+    let next = 8usize;
+    let prefilled = || {
+        let mut a = q.kv_arena(kv);
+        let id = a.try_join().expect("join");
+        q.try_forward_paged(&prompt, 0, &mut a, id).expect("prefill");
+        a.try_commit(id, prompt.len()).expect("commit");
+        (a, id)
+    };
+    let (mut clean, cid) = prefilled();
+    let want = q.try_forward_paged(&[next], prompt.len(), &mut clean, cid).expect("clean decode");
+    let per_page = 2 * 4 * 16; // layers × block × d_model
+    for (site, word, bit) in [("kv-k-sealed", 5, 22u32), ("kv-v-sealed", per_page + 37, 30)] {
+        let (mut viewed, vid) = prefilled();
+        let (mut gathered, gid) = prefilled();
+        assert!(viewed.inject_seq_fault(vid, site, word, bit));
+        assert!(gathered.inject_seq_fault(gid, site, word, bit));
+        let before = (viewed.pages_verified(), viewed.corruptions_detected());
+        let got = q
+            .try_forward_paged(&[next], prompt.len(), &mut viewed, vid)
+            .expect("a single sealed flip heals in place");
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{site}: healed logits equal the clean run");
+        // The same reads through the gather: each layer appends its new
+        // row, then reads the prefix plus that row.
+        assert_eq!((gathered.pages_verified(), gathered.corruptions_detected()), before);
+        let row = vec![0.5f32; 16];
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        for layer in 0..2 {
+            gathered.try_append(gid, layer, prompt.len(), &row, &row).expect("append");
+            gathered
+                .try_gather(gid, layer, prompt.len() + 1, &mut k, &mut v)
+                .expect("a single sealed flip heals in place");
+        }
+        assert_eq!(viewed.corruptions_detected(), before.1 + 1, "{site}: detected once");
+        assert_eq!(viewed.reconstructions(), 1, "{site}: reconstructed once");
+        assert_eq!(viewed.pages_verified(), gathered.pages_verified(), "{site}");
+        assert_eq!(viewed.corruptions_detected(), gathered.corruptions_detected(), "{site}");
+        assert_eq!(viewed.reconstructions(), gathered.reconstructions(), "{site}");
+    }
+}
+
 // --- scheduler under capacity pressure ------------------------------
 
 const PROMPTS: usize = 5;

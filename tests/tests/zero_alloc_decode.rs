@@ -23,6 +23,12 @@
 //!   slot — so once the pool and every participant's arena are warm,
 //!   multi-worker decode must also be allocation-free.
 //!
+//! Attention over the paged KV cache is covered the same way, serially:
+//! a warm `m = 1` call through a multi-page view (verification included)
+//! and the 4-item stacked loop of a continuous-batching decode step
+//! (append, view, attend per item, one scratch for all) must both make
+//! zero heap allocations.
+//!
 //! The whole test binary is one `#[test]` so no other test can race
 //! the global armed flag.
 
@@ -30,6 +36,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use axcore::engines::{with_act_policy, with_lut_policy, ActPolicy, AxCoreEngine, GemmEngine, LutPolicy};
+use axcore::reliability::VerifyPolicy;
+use axcore_nn::attention::{attend, try_attend_stacked, AttnScratch};
+use axcore_nn::kvcache::{KvArena, KvPageConfig};
 use axcore_parallel::ExecMode;
 use axcore_quant::GroupQuantizer;
 use axcore_softfloat::FP16;
@@ -176,6 +185,77 @@ fn steady_state_decode_allocates_nothing() {
             });
         }
     }
+
+    // Paged attention, serial: the page-walk view borrows the block
+    // table and the kernel's only scratch is one score row plus the head
+    // context, reused across calls and across a stacked batch's items.
+    let (d, nh, layers) = (64usize, 4usize, 2usize);
+    let dh = d / nh;
+    let kv_cfg = KvPageConfig { block: 16, verify: Some(VerifyPolicy::Full), ..Default::default() };
+    let mut arena = KvArena::new(layers, d, nh, kv_cfg);
+    let rows = |n: usize, salt: u64| -> Vec<f32> {
+        (0..n * d)
+            .map(|i| ((i as u64 * 2654435761 + salt) % 2003) as f32 / 1001.5 - 1.0)
+            .collect()
+    };
+    let mut items = Vec::new();
+    for (i, len) in [40usize, 77, 16, 130].into_iter().enumerate() {
+        let seq = arena.try_join().expect("arena admits a sequence");
+        for layer in 0..layers {
+            let (k, v) = (rows(len, i as u64), rows(len, 7 + i as u64));
+            arena.try_append(seq, layer, 0, &k, &v).expect("prefix append");
+        }
+        arena.try_commit(seq, len).expect("prefix commit");
+        items.push((seq, len));
+    }
+    let (q, k, v) = (rows(4, 11), rows(4, 12), rows(4, 13));
+    let mut ctx = vec![0f32; 4 * d];
+    let mut scratch = AttnScratch::default();
+    axcore_parallel::with_threads(1, || {
+        let (seq, len) = items[3];
+        let mut one = || {
+            let view = arena.try_view(seq, 1, len).expect("verified view");
+            attend(&q[..d], &view, len - 1, 1, d, nh, dh, &mut scratch, &mut ctx[..d]);
+        };
+        for _ in 0..3 {
+            one();
+        }
+        let count = allocations_during(|| {
+            for _ in 0..50 {
+                one();
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "warm m = 1 attention through a {}-page view made {count} heap allocations \
+             across 50 calls; expected zero",
+            len.div_ceil(16)
+        );
+
+        // The stacked loop appends each item's new row at its uncommitted
+        // position (an idempotent re-append after the first call), so
+        // every repetition is the same decode step.
+        let mut step = || {
+            for layer in 0..layers {
+                let items = items.iter().copied();
+                try_attend_stacked(&mut arena, layer, items, &q, &k, &v, &mut scratch, &mut ctx)
+                    .expect("stacked attention");
+            }
+        };
+        for _ in 0..3 {
+            step();
+        }
+        let count = allocations_during(|| {
+            for _ in 0..50 {
+                step();
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "warm 4-item stacked attention made {count} heap allocations across 50 \
+             steps; expected zero"
+        );
+    });
 
     // W4A8 integer-activation tier: the per-call Q8 row quantization and
     // the per-column block dots all land in arena-recycled buffers, so
