@@ -21,7 +21,7 @@ use axcore::engines::{
     PreparedGemm, TenderEngine,
 };
 use axcore::GemmError;
-use axcore_quant::{CalibrationStats, GroupQuantizer, KvQuantConfig, QuantFormat};
+use axcore_quant::{fit_group, CalibrationStats, GroupQuantizer, KvQuantConfig, QuantFormat};
 use axcore_softfloat::FP16;
 
 /// Typed failure of a paged forward pass, split by layer of origin:
@@ -297,12 +297,6 @@ impl std::fmt::Debug for QuantizedLm {
 /// Round a dense weight matrix to FP16 (the unquantized baseline's storage).
 fn to_fp16_dense(w: &[f32]) -> Vec<f32> {
     w.iter().map(|&x| FP16.quantize(x as f64) as f32).collect()
-}
-
-/// Largest group size ≤ `group` that divides `dim` (layer widths are not
-/// always multiples of the nominal group size on small proxies).
-fn fit_group(dim: usize, group: usize) -> usize {
-    (1..=group.min(dim)).rev().find(|g| dim.is_multiple_of(*g)).unwrap_or(1)
 }
 
 fn prepare_linear(
@@ -901,6 +895,25 @@ mod tests {
         );
         assert!(kv >= ax * 0.98);
         assert!(kv < ax * 1.35, "KV quant blew up: {ax:.3} -> {kv:.3}");
+    }
+
+    #[test]
+    fn axcore_kv_windows_fit_their_kv_groups() {
+        // A 100-token window is not a multiple of the 64-wide KV group:
+        // the V cache groups by 50 positions instead of panicking.
+        let cfg = LmConfig {
+            vocab: 16,
+            d_model: 16,
+            n_layers: 1,
+            n_heads: 2,
+            d_ff: 32,
+            max_seq: 128,
+            act: Default::default(),
+        };
+        let model = TransformerLm::new(cfg, 5);
+        let tokens: Vec<usize> = (0..101).map(|i| i * 7 % 16).collect();
+        let ppl = eval_perplexity(&quantize_model(&model, Scheme::AxCoreKv, 16, None), &tokens, 100);
+        assert!(ppl.is_finite() && ppl > 1.0, "perplexity {ppl}");
     }
 
     #[test]

@@ -24,7 +24,13 @@
 //! is quantized with the configured [`KvQuantConfig`] (grouped along the
 //! head dimension, the accumulation axis of `Q·Kᵀ`) and its V block
 //! along the position axis (the accumulation axis of `P·V`), then
-//! dequantized back in place. Resident KV beyond the hot tail is thereby
+//! dequantized back in place. Each group is rounded where it lies
+//! ([`qdq_group`]: K groups contiguous, V groups at row stride
+//! `d_model`), with no copy and no allocation, through the exact FP4
+//! threshold grid (`axcore_quant::grid`), bit for bit what
+//! [`KvQuantConfig::quantize_k`]/`quantize_v` and `dequant_all` give.
+//! Group sizes are fitted to the page ([`fit_group`]), so any `block`
+//! seals. Resident KV beyond the hot tail is thereby
 //! exactly 4-bit-representable — the accuracy consequence the paper's
 //! §6.5.2 measures — while attention reads sealed and hot pages alike
 //! through the one FP kernel and the same page-walk view (a hardware
@@ -86,7 +92,7 @@
 use axcore::reliability::{mix, VerifyPolicy, CHECKSUM_SEED};
 use axcore_parallel::arena::{self, ArenaVec};
 use axcore_parallel::env;
-use axcore_quant::KvQuantConfig;
+use axcore_quant::{fit_group, qdq_group, KvQuantConfig};
 use axcore_simd::KvPages;
 
 /// Default positions per KV page (`AXCORE_KV_BLOCK` overrides).
@@ -1197,31 +1203,33 @@ impl KvArena {
         failed
     }
 
-    /// Quantize-dequantize one filled page in place, per layer per head.
+    /// Quantize-dequantize one filled page in place, per layer per head,
+    /// group by group through [`qdq_group`]: each K group is `gk`
+    /// contiguous channels of one position (the head dimension, the
+    /// `Q·Kᵀ` accumulation axis), each V group `gv` positions of one
+    /// channel at row stride `d` (the `P·V` accumulation axis). Bit for
+    /// bit [`KvQuantConfig::quantize_k`]/[`quantize_v`] on the head's
+    /// transposed blocks, dequantized; nothing is copied or allocated.
+    ///
+    /// [`quantize_v`]: KvQuantConfig::quantize_v
     fn seal_page(&mut self, page: usize) {
         let Some(cfg) = self.quant else { return };
         let (d, nh, block) = (self.d, self.n_heads, self.block);
         let dh = d / nh;
-        let mut kc = vec![0f32; dh * block];
-        let mut vc = vec![0f32; block * dh];
+        let (gk, gv) = (fit_group(dh, cfg.group_size), fit_group(block, cfg.group_size));
+        let pg = &mut self.pages[page];
         for layer in 0..self.n_layers {
             let off = layer * block * d;
             for h in 0..nh {
-                let pg = &mut self.pages[page];
+                let head = off + h * dh;
                 for i in 0..block {
-                    for e in 0..dh {
-                        // K transposed to dh × block: grouped along the
-                        // head dimension, the Q·Kᵀ accumulation axis.
-                        kc[e * block + i] = pg.k[off + i * d + h * dh + e];
-                        vc[i * dh + e] = pg.v[off + i * d + h * dh + e];
+                    for e in (0..dh).step_by(gk) {
+                        qdq_group(cfg.k_format, &mut pg.k[head + i * d + e..], gk, 1);
                     }
                 }
-                let kd = cfg.quantize_k(&kc, dh, block).dequant_all();
-                let vd = cfg.quantize_v(&vc, block, dh).dequant_all();
-                for i in 0..block {
+                for i in (0..block).step_by(gv) {
                     for e in 0..dh {
-                        pg.k[off + i * d + h * dh + e] = kd[e * block + i];
-                        pg.v[off + i * d + h * dh + e] = vd[i * dh + e];
+                        qdq_group(cfg.v_format, &mut pg.v[head + i * d + e..], gv, d);
                     }
                 }
             }
@@ -1589,6 +1597,29 @@ mod tests {
         a.try_gather(s, 0, 6, &mut k2, &mut v2).expect("gather");
         assert_eq!(kq, k2);
         assert_eq!(vq, v2);
+    }
+
+    #[test]
+    fn ragged_page_block_seals_with_fitted_groups() {
+        // 80 positions is above the 64-wide group and not a multiple of
+        // it: V groups fit to 40 positions (K groups span the 4-wide
+        // head) instead of panicking inside `try_commit`.
+        let (d, block) = (8, 80);
+        let cfg = KvQuantConfig::opt();
+        let mut a = KvArena::new(1, d, 2, KvPageConfig { quant: Some(cfg), block, ..Default::default() });
+        let s = a.try_join().expect("join");
+        let (k, v) = (rows(block + 1, d, 3.0), rows(block + 1, d, 4.0));
+        a.try_append(s, 0, 0, &k, &v).expect("append");
+        a.try_commit(s, block + 1).expect("commit seals the first page");
+        let (mut kq, mut vq) = (Vec::new(), Vec::new());
+        a.try_gather(s, 0, block + 1, &mut kq, &mut vq).expect("gather");
+        // Head 1's V block, transposed to the `quantize_v` layout.
+        let vc: Vec<f32> = (0..block * 4).map(|j| v[(j / 4) * d + 4 + j % 4]).collect();
+        let expect = cfg.quantize_v(&vc, block, 4).dequant_all();
+        for j in 0..block * 4 {
+            assert_eq!(vq[(j / 4) * d + 4 + j % 4].to_bits(), expect[j].to_bits(), "V word {j}");
+        }
+        assert_eq!(&kq[block * d..], &k[block * d..], "hot tail stays FP");
     }
 
     #[test]

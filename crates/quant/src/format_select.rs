@@ -4,7 +4,7 @@
 //! activation distribution.
 
 use crate::formats::QuantFormat;
-use axcore_softfloat::FP16;
+use crate::group::GroupRounding;
 
 /// Calibration statistics driving Eq. 12.
 ///
@@ -116,17 +116,12 @@ fn block_error(
 ) -> f64 {
     let mut err = 0.0;
     for col in bc * block_cols..(bc + 1) * block_cols {
-        // Group scale exactly as the quantizer will compute it.
+        // Rounded exactly as the quantizer will round it.
         let rows = g * group_size..(g + 1) * group_size;
-        let mut max_abs = 0f64;
-        for kk in rows.clone() {
-            max_abs = max_abs.max((weights[kk * n + col] as f64).abs());
-        }
-        let scale = if max_abs == 0.0 { 1.0 } else { max_abs / format.max_abs() };
-        let scale = FP16.decode(FP16.encode(scale));
-        for kk in rows {
-            let w = weights[kk * n + col] as f64;
-            let rec = format.decode(format.encode(w / scale)) * scale;
+        let column = weights[rows.start * n + col..].iter().step_by(n).take(group_size).copied();
+        let r = GroupRounding::new(format, column.clone());
+        for (kk, w) in rows.zip(column) {
+            let (w, rec) = (w as f64, r.value(w));
             let weight = match calib {
                 Some(c) => c.channel_energy[kk] as f64,
                 None => 1.0,

@@ -1,4 +1,8 @@
 //! Quantization target formats: low-bit floating point and signed integer.
+//!
+//! [`QuantFormat::encode`] is the per-value rounding (softfloat for the FP
+//! formats) and the oracle for the FP4 threshold grid (`crate::grid`),
+//! which group quantization of E1M2, E2M1 and E3M0 rounds through instead.
 
 use axcore_softfloat::{FpFormat, FP4_E1M2, FP4_E2M1, FP4_E3M0, FP8_E4M3};
 

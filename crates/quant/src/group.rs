@@ -1,10 +1,20 @@
 //! Symmetric group-wise round-to-nearest quantization (paper Eq. 1 with
 //! grouped scales, §2.2).
+//!
+//! Every group, whatever caller it serves, rounds through one
+//! implementation, `GroupRounding`: the FP16 scale from the group's
+//! largest magnitude, then each value's code — by the exact threshold grid
+//! ([`crate::grid`]) for the three FP4 formats, by per-value softfloat
+//! [`QuantFormat::encode`] for the other formats and for groups the grid
+//! does not cover (NaN or ±inf inside, or a scale that rounds to FP16
+//! zero). [`GroupQuantizer`] writes the codes, format selection scores the
+//! reconstruction, and [`qdq_group`] writes the reconstruction back in place
+//! (the KV cache's quantize-on-fill).
 
 use crate::format_select::{CalibrationStats, FormatPolicy};
 use crate::formats::QuantFormat;
+use crate::grid::{fp16_bits, fp16_value, Fp4Grid, ScaledGrid};
 use crate::matrix::QuantizedMatrix;
-use axcore_softfloat::FP16;
 
 /// A configured weight quantizer.
 ///
@@ -55,7 +65,8 @@ impl GroupQuantizer {
     /// # Panics
     ///
     /// Panics if `weights.len() != k * n`, if `k` is not a multiple of the
-    /// group size, or if `n` is not a multiple of the policy's block width.
+    /// group size, or if `n` is not a multiple of the policy's block width
+    /// ([`fit_group`] picks a group size that divides an axis).
     pub fn quantize(&self, weights: &[f32], k: usize, n: usize) -> QuantizedMatrix {
         assert_eq!(weights.len(), k * n, "weight shape mismatch");
         assert!(
@@ -98,8 +109,8 @@ impl GroupQuantizer {
         q
     }
 
-    /// Quantize one (group, column) slice: compute the FP16 scale from the
-    /// group maximum and encode every element.
+    /// Quantize one (group, column) slice: the FP16 scale from the group
+    /// maximum, then every element's code.
     #[allow(clippy::too_many_arguments)]
     fn quantize_group(
         &self,
@@ -112,23 +123,118 @@ impl GroupQuantizer {
         q: &mut QuantizedMatrix,
     ) {
         let rows = g * self.group_size..(g + 1) * self.group_size;
-        let mut max_abs = 0f64;
-        for kk in rows.clone() {
-            max_abs = max_abs.max((weights[kk * n + col] as f64).abs());
+        let column = weights[rows.start * n + col..].iter().step_by(n).take(self.group_size).copied();
+        let r = GroupRounding::new(format, column.clone());
+        q.scales[g * n + col] = r.scale_bits;
+        for (kk, w) in rows.zip(column) {
+            q.codes[kk * n + col] = r.code(w);
         }
+    }
+}
+
+/// Largest group size ≤ `group` that divides `dim`: the group that fits an
+/// axis whose length is not a multiple of the nominal group size (small
+/// proxy layers, a KV page of `block` positions, a short window). It is
+/// `group` itself when `group` divides `dim`, and `dim` when `dim ≤ group`.
+pub fn fit_group(dim: usize, group: usize) -> usize {
+    (1..=group.min(dim)).rev().find(|g| dim.is_multiple_of(*g)).unwrap_or(1)
+}
+
+/// Quantize one group of `len` values, `data[0]`, `data[stride]`, …, onto
+/// `format` and write each back dequantized, in place and without
+/// allocating. The result is bit for bit what
+/// `GroupQuantizer::fixed(format, len)` followed by
+/// [`QuantizedMatrix::dequant_all`] gives for that group.
+///
+/// # Panics
+///
+/// Panics if `data` is too short for `len` values at `stride`.
+#[inline]
+pub fn qdq_group(format: QuantFormat, data: &mut [f32], len: usize, stride: usize) {
+    assert!(
+        len == 0 || (len - 1) * stride < data.len(),
+        "group of {len} at stride {stride} overruns {} values",
+        data.len()
+    );
+    if stride == 1 {
+        // Contiguous (a KV page's K groups): plain slice loops vectorize.
+        let group = &mut data[..len];
+        GroupRounding::new(format, group.iter().copied()).write_values(group.iter_mut());
+    } else {
+        let r = GroupRounding::new(format, data.iter().step_by(stride).take(len).copied());
+        r.write_values(data.iter_mut().step_by(stride).take(len));
+    }
+}
+
+/// How one group rounds onto a format (Eq. 1): its FP16 scale and, for the
+/// FP4 formats, its [`ScaledGrid`].
+pub(crate) struct GroupRounding {
+    format: QuantFormat,
+    /// FP16 bits of the group scale.
+    pub(crate) scale_bits: u16,
+    /// The scale the codes are taken against (the FP16 value).
+    scale: f64,
+    /// `None` sends every value through softfloat `encode`.
+    grid: Option<ScaledGrid>,
+}
+
+impl GroupRounding {
+    /// The rounding of the group `values` onto `format`.
+    #[inline]
+    pub(crate) fn new(format: QuantFormat, values: impl Iterator<Item = f32> + Clone) -> Self {
+        // |w|'s bits order as |w| does, with NaN and ±inf above every
+        // finite value, so one integer max finds the group maximum.
+        let top = values.clone().fold(0u32, |m, w| m.max(w.to_bits() & 0x7fff_ffff));
+        let finite = top < 0x7f80_0000;
+        let max_abs = if finite {
+            f32::from_bits(top) as f64
+        } else {
+            // f64::max skips NaN: the scale comes from the other values.
+            values.fold(0f64, |m, w| m.max((w as f64).abs()))
+        };
+        let grid = Fp4Grid::of(format);
         // Scale = w_max / F_max, stored (and therefore applied) in FP16 —
         // the same value the AxScale unit will stream (Eq. 1).
         let scale = if max_abs == 0.0 {
             1.0
         } else {
-            max_abs / format.max_abs()
+            max_abs / grid.map_or_else(|| format.max_abs(), |g| g.max_abs() as f64)
         };
-        let scale_bits = FP16.encode(scale) as u16;
-        let scale_eff = FP16.decode(scale_bits as u32);
-        q.scales[g * n + col] = scale_bits;
-        for kk in rows {
-            let w = weights[kk * n + col] as f64;
-            q.codes[kk * n + col] = format.encode(w / scale_eff);
+        let scale_bits = fp16_bits(scale);
+        let scale = fp16_value(scale_bits);
+        let grid = grid.filter(|_| finite && scale > 0.0).map(|g| g.scaled(scale));
+        GroupRounding {
+            format,
+            scale_bits,
+            scale: scale as f64,
+            grid,
+        }
+    }
+
+    /// The code of `w`.
+    #[inline]
+    pub(crate) fn code(&self, w: f32) -> u8 {
+        match &self.grid {
+            Some(g) => g.code(w),
+            None => self.format.encode(w as f64 / self.scale),
+        }
+    }
+
+    /// The reconstruction `decode(code) × scale` of `w`.
+    #[inline]
+    pub(crate) fn value(&self, w: f32) -> f64 {
+        match &self.grid {
+            Some(g) => g.value(w) as f64,
+            None => self.format.decode(self.code(w)) * self.scale,
+        }
+    }
+
+    /// Replace each value of the group with its reconstruction, in f32.
+    #[inline]
+    fn write_values<'a>(&self, group: impl Iterator<Item = &'a mut f32>) {
+        match &self.grid {
+            Some(g) => group.for_each(|x| *x = g.value(*x)),
+            None => group.for_each(|x| *x = self.value(*x) as f32),
         }
     }
 }

@@ -10,9 +10,13 @@
 //! The paper found format choice matters per cache: OPT-style models use
 //! E1M2 for K and E3M0 for V; LLaMA-style models use E2M1 for K and E3M0
 //! for V.
+//!
+//! An axis whose length is not a multiple of the group size (a small head,
+//! a short window, a KV page of `block` positions) is grouped by
+//! [`fit_group`]: the largest size ≤ `group_size` that divides it.
 
 use crate::formats::QuantFormat;
-use crate::group::GroupQuantizer;
+use crate::group::{fit_group, GroupQuantizer};
 use crate::matrix::QuantizedMatrix;
 
 /// Per-model-family KV quantization configuration.
@@ -47,18 +51,19 @@ impl KvQuantConfig {
 
     /// Quantize a key cache laid out for `Q·Kᵀ`, i.e. as the `accum × out`
     /// operand of a GEMM: row index = head-dimension channel (accumulation),
-    /// column index = cached position. `head_dim` must be a multiple of the
-    /// group size (pass a smaller `group_size` for small heads).
+    /// column index = cached position. Groups run along the head dimension
+    /// with size `fit_group(head_dim, group_size)`.
     pub fn quantize_k(&self, cache: &[f32], head_dim: usize, positions: usize) -> QuantizedMatrix {
-        let g = self.group_size.min(head_dim);
+        let g = fit_group(head_dim, self.group_size);
         GroupQuantizer::fixed(self.k_format, g).quantize(cache, head_dim, positions)
     }
 
     /// Quantize a value cache laid out for `P·V`: row index = cached
     /// position (accumulation), column index = head-dimension channel.
-    /// `positions` must be a multiple of the group size.
+    /// Groups run along the positions with size
+    /// `fit_group(positions, group_size)`.
     pub fn quantize_v(&self, cache: &[f32], positions: usize, head_dim: usize) -> QuantizedMatrix {
-        let g = self.group_size.min(positions);
+        let g = fit_group(positions, self.group_size);
         GroupQuantizer::fixed(self.v_format, g).quantize(cache, positions, head_dim)
     }
 }
@@ -104,5 +109,15 @@ mod tests {
         let cfg = KvQuantConfig::opt();
         let q = cfg.quantize_k(&cache(32, 4), 32, 4);
         assert_eq!(q.group_size, 32);
+    }
+
+    #[test]
+    fn ragged_axes_fit_their_group() {
+        // 80 and 100 are above 64 and not multiples of it: the group is the
+        // largest divisor ≤ 64 (40 and 50) instead of a panic.
+        let cfg = KvQuantConfig::opt();
+        assert_eq!(cfg.quantize_v(&cache(80, 16), 80, 16).group_size, 40);
+        assert_eq!(cfg.quantize_v(&cache(100, 8), 100, 8).group_size, 50);
+        assert_eq!(cfg.quantize_k(&cache(80, 3), 80, 3).group_size, 40);
     }
 }

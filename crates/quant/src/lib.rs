@@ -7,7 +7,12 @@
 //!   E3M0), FP8, INT4, INT8.
 //! * [`GroupQuantizer`] — symmetric group-wise round-to-nearest
 //!   quantization with FP16 scales (the paper's baseline scheme, group size
-//!   128 for OPT-style models / 64 for LLaMA-style models).
+//!   128 for OPT-style models / 64 for LLaMA-style models); [`qdq_group`]
+//!   rounds one strided group in place, [`fit_group`] fits a group size to
+//!   an axis.
+//! * [`grid`] — the exact FP4 rounding grid every FP4 group rounds
+//!   through: threshold comparison against `midpoint × scale` in place of
+//!   per-value softfloat, bit-identical to it.
 //! * [`format_select`] — block-wise **adaptive format-aware** selection
 //!   (Eq. 12): each `g × n` block picks the FP4 format minimizing the
 //!   activation-weighted reconstruction error on calibration statistics.
@@ -30,6 +35,7 @@ pub mod act;
 pub mod format_select;
 pub mod formats;
 pub mod fpma_quant;
+pub mod grid;
 pub mod group;
 pub mod kv;
 pub mod matrix;
@@ -39,7 +45,8 @@ pub mod packing;
 pub use act::{quantize_row_into, Q8Row, Q8_BLOCK};
 pub use format_select::{CalibrationStats, FormatPolicy};
 pub use formats::QuantFormat;
-pub use group::GroupQuantizer;
+pub use grid::{Fp4Grid, ScaledGrid};
+pub use group::{fit_group, qdq_group, GroupQuantizer};
 pub use kv::KvQuantConfig;
 pub use matrix::QuantizedMatrix;
 pub use packing::{CodePlanes, PlaneShard};

@@ -27,7 +27,8 @@
 //! a warm `m = 1` call through a multi-page view (verification included)
 //! and the 4-item stacked loop of a continuous-batching decode step
 //! (append, view, attend per item, one scratch for all) must both make
-//! zero heap allocations.
+//! zero heap allocations. So must a `try_commit` that seals a page of a
+//! warm 4-bit (`q4-opt`) arena: the seal quantizes each group in place.
 //!
 //! The whole test binary is one `#[test]` so no other test can race
 //! the global armed flag.
@@ -40,7 +41,7 @@ use axcore::reliability::VerifyPolicy;
 use axcore_nn::attention::{attend, try_attend_stacked, AttnScratch};
 use axcore_nn::kvcache::{KvArena, KvPageConfig};
 use axcore_parallel::ExecMode;
-use axcore_quant::GroupQuantizer;
+use axcore_quant::{GroupQuantizer, KvQuantConfig};
 use axcore_softfloat::FP16;
 
 struct CountingAlloc;
@@ -256,6 +257,42 @@ fn steady_state_decode_allocates_nothing() {
              steps; expected zero"
         );
     });
+
+    // Quantize-on-fill: a commit that seals a page rounds every K and V
+    // group of it in place. Parity is off (a new parity group allocates),
+    // and each page's rows are appended before the counter is armed, so
+    // the counted region is the commit alone.
+    let q4_cfg = KvPageConfig {
+        quant: Some(KvQuantConfig::opt()),
+        block: 16,
+        parity: None,
+        ..Default::default()
+    };
+    let mut q4 = KvArena::new(layers, d, nh, q4_cfg);
+    let seq = q4.try_join().expect("arena admits a sequence");
+    let page_rows = (rows(16, 21), rows(16, 22));
+    let mut seal_next = |count: bool| -> u64 {
+        let start = q4.len(seq);
+        for layer in 0..layers {
+            q4.try_append(seq, layer, start, &page_rows.0, &page_rows.1)
+                .expect("page append");
+        }
+        let mut commit = || q4.try_commit(seq, start + 16).expect("sealing commit");
+        if count {
+            allocations_during(commit)
+        } else {
+            commit();
+            0
+        }
+    };
+    for _ in 0..3 {
+        seal_next(false);
+    }
+    let count: u64 = (0..20).map(|_| seal_next(true)).sum();
+    assert_eq!(
+        count, 0,
+        "20 page-sealing q4 commits made {count} heap allocations; expected zero"
+    );
 
     // W4A8 integer-activation tier: the per-call Q8 row quantization and
     // the per-column block dots all land in arena-recycled buffers, so
