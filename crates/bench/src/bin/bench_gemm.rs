@@ -49,7 +49,10 @@
 //! host (`threads ≤ max_threads`), so the regression gate never compares
 //! an oversubscribed run against a committed baseline. The JSON also
 //! records `available_parallelism` and the effective `AXCORE_THREADS`
-//! setting so a sweep is interpretable away from the machine it ran on.
+//! setting so a sweep is interpretable away from the machine it ran on,
+//! and `lut_fold_lanes` — [`axcore_simd::fold_lanes`], the number the
+//! engine's fold choice reads: 16 when the LUT entries came from the
+//! AVX-512 body, 8 from the AVX2 body, 0 from the scalar rung.
 //!
 //! A `kernel_us_per_call` block reports where the decode entries spend
 //! their per-call setup time: `lut_build_us` (per-activation LUT builds,
@@ -567,6 +570,10 @@ fn main() {
     json.push_str(&format!("  \"k\": {K},\n  \"n\": {N},\n  \"threads\": {max_threads},\n"));
     json.push_str(&format!(
         "  \"available_parallelism\": {available_parallelism},\n  \"axcore_threads_env\": {threads_env},\n"
+    ));
+    json.push_str(&format!(
+        "  \"lut_fold_lanes\": {},\n",
+        axcore_simd::fold_lanes()
     ));
     for (name, rows_per_s, secs) in [
         ("prefill_m128_seed_per_call", prefill_rows / prefill_seed, prefill_seed),

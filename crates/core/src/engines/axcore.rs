@@ -14,7 +14,7 @@ use crate::reliability::{self, Verifier};
 use axcore_fpma::snc::SncPolicy;
 use axcore_fpma::MpFpma;
 use axcore_parallel::arena;
-use axcore_quant::{CodePlanes, QuantFormat, QuantizedMatrix};
+use axcore_quant::{CodePlanes, PlaneShard, QuantFormat, QuantizedMatrix};
 use axcore_softfloat::{FpFormat, FP16};
 
 /// Stand-in addend for a [`WeightLane`] variant whose product is zero
@@ -1057,15 +1057,6 @@ impl AxCorePrepared {
         let groups = k / gs;
         let nbc = n / self.block_cols;
         let cs = self.code_space;
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
-            };
-            scaled as f32
-        };
         // This worker's contiguous slice of the code planes: all plane
         // reads below stay provably inside the shard's columns.
         let planes = self.planes.shard(col0, cols.len());
@@ -1121,7 +1112,7 @@ impl AxCorePrepared {
                     add(&mut a3, es3[off + (cd3[gs - 1] as usize & (cs - 1))]);
                 }
                 for (l, acc) in [a0, a1, a2, a3].iter().enumerate() {
-                    cols[j + l] += finish(acc, g, col0 + j + l);
+                    cols[j + l] += self.lut_finish(acc, g, col0 + j + l);
                 }
                 j += LANES;
             }
@@ -1132,7 +1123,7 @@ impl AxCorePrepared {
                 for (row, &c) in es.chunks_exact(cs).zip(cd) {
                     add(&mut pacc, row[c as usize & (cs - 1)]);
                 }
-                *o += finish(&pacc, g, col0 + jj);
+                *o += self.lut_finish(&pacc, g, col0 + jj);
             }
         }
     }
@@ -1167,15 +1158,6 @@ impl AxCorePrepared {
         // code space is exactly 16 — so a nibble can never index past a
         // table row.
         debug_assert!(cs >= 16, "packed planes imply a 16-entry code space");
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
-            };
-            scaled as f32
-        };
         // This worker's contiguous slice of the nibble-packed planes.
         let planes = self.planes.shard(col0, cols.len());
         // A group's table segment (gs rows of cs entries) and its packed
@@ -1258,7 +1240,7 @@ impl AxCorePrepared {
                 add(&mut a3, es3[row + cs + ((b3 >> 4) & cmask)]);
             }
             for (l, acc) in [a0, a1, a2, a3].iter().enumerate() {
-                cols[j + l] += finish(acc, g, col0 + j + l);
+                cols[j + l] += self.lut_finish(acc, g, col0 + j + l);
             }
         };
         cols.fill(0.0);
@@ -1298,24 +1280,25 @@ impl AxCorePrepared {
                     add(&mut pacc, es[row + (byte as usize & 0xf & cmask)]);
                     add(&mut pacc, es[row + cs + ((byte as usize >> 4) & cmask)]);
                 }
-                *col += finish(&pacc, g, col0 + jj);
+                *col += self.lut_finish(&pacc, g, col0 + jj);
             }
         }
     }
 
-    /// Whether the AVX2 rung can take the 8-lane row-block fold in
+    /// Whether the AVX2 rung can take the row-block fold in
     /// [`axcore_simd`]: requires the standard 16-entry code space, a
     /// group depth that fills whole u64 code words, accumulator
     /// significands that provably fit the kernel's i32 lanes
-    /// (`gs · 2^(man_bits+3)` bounds the running sum), runtime AVX2
-    /// support, and a passing one-shot kernel self-test (a faulty vector
-    /// unit demotes the tier instead of corrupting silently).
+    /// (`gs · 2^(man_bits+3)` bounds the running sum), and a vector fold
+    /// on this host ([`axcore_simd::fold_lanes`] non-zero: the CPU has
+    /// the instructions and passed the one-shot kernel self-test, so a
+    /// faulty vector unit demotes the tier instead of corrupting
+    /// silently).
     fn avx2_fold_eligible(&self) -> bool {
         self.code_space == 16
             && self.group_size.is_multiple_of(16)
             && (self.group_size as u64) << (self.act.man_bits + 3) <= 1 << 31
-            && axcore_simd::avx2_available()
-            && axcore_simd::self_test()
+            && axcore_simd::fold_lanes() != 0
     }
 
     /// Whether the AVX2 rung also takes the FP16 vector stages around the
@@ -1334,21 +1317,17 @@ impl AxCorePrepared {
             && self.avx2_fold_eligible()
     }
 
-    /// AVX2 fold over the nibble-packed planes for a block of `rows`
+    /// Vector fold over the nibble-packed planes for a block of `rows`
     /// activation rows, whose encoded activations sit in `t.bits`; row
     /// `r`'s outputs are `out[r * cols..(r + 1) * cols]`, `cols =
     /// out.len() / rows`. Group by group: first the group's entries are
     /// built for every row of the block (only the units this shard's
-    /// columns reference), then each 8-column tile is one
-    /// [`axcore_simd::fold_rows`] call — the kernel decodes the tile's
-    /// codes once for the whole block and looks entries up in registers;
-    /// a tile spanning several units is handled inside the kernel, which
-    /// groups its lanes by the unit segment `block_unit` names. With
-    /// `fused` the Norm → AxScale → decode epilogue runs in the same
-    /// kernel ([`axcore_simd::fold_rows_finish_fp16`], bit-identical to
-    /// the scalar `finish` below); otherwise the lanes come back and
-    /// finish one by one. Groups are visited in ascending order, so each
-    /// column adds its group partials in the direct path's order.
+    /// columns reference), then the columns are folded in 16-column
+    /// tiles, a final 8–15 columns as one 8-column tile, each tile one
+    /// [`axcore_simd::fold_rows`] call ([`Self::fold_tile`]). Fewer than
+    /// 8 columns left over run the scalar chain. Groups are visited in
+    /// ascending order, so each column adds its group partials in the
+    /// direct path's order.
     fn lut_fold_cols_avx2(
         &self,
         t: &mut AxFoldTable,
@@ -1357,7 +1336,6 @@ impl AxCorePrepared {
         out: &mut [f32],
         fused: bool,
     ) {
-        const LANES: usize = 8;
         let (k, n) = (self.k, self.n);
         let gs = self.group_size;
         let groups = k / gs;
@@ -1368,22 +1346,11 @@ impl AxCorePrepared {
         let seg = gs * cs;
         let slot_len = self.units.len() * seg;
         debug_assert!(cs == 16 && gs.is_multiple_of(16));
-        let finish = |pacc: &PartialAcc, g: usize, col: usize| -> f32 {
-            let o_bits = self.norm.normalize(pacc);
-            let scaled = if self.fpma_dequant {
-                self.act.decode(self.axscale.apply(o_bits, self.scales[g * n + col]))
-            } else {
-                self.act.decode(o_bits) * self.scale_vals[g * n + col]
-            };
-            scaled as f32
-        };
         // This worker's contiguous slice of the nibble-packed planes:
         // the vector kernel receives only these bytes, so a lane can
         // never read codes from another shard's columns.
         let planes = self.planes.shard(col0, cols);
-        let seg_len = gs / 2;
         out.fill(0.0);
-        let full_tiles = cols / LANES;
         for g in 0..groups {
             // Shard-restricted build: only the units referenced by the
             // columns this worker folds. Other units' segments stay stale
@@ -1401,83 +1368,158 @@ impl AxCorePrepared {
                     }
                 }
             });
-            // Exactly the block's slots: a unit index past the table
-            // fails the kernel's bounds check even on the last row.
-            let table = &t.entries[..rows * slot_len];
+            let tiles = FoldTiles {
+                // Exactly the block's slots: a unit index past the table
+                // fails the kernel's bounds check even on the last row.
+                table: &t.entries[..rows * slot_len],
+                slot_len,
+                rows,
+                planes,
+                g,
+                col0,
+                cols,
+                fused,
+            };
             // Walk the block columns incrementally (no division per lane).
-            let (mut bc, mut in_bc) = (col0 / self.block_cols, col0 % self.block_cols);
-            for tile in 0..full_tiles {
-                let j = tile * LANES;
-                let mut bases = [0i32; LANES];
-                let mut offsets = [0usize; LANES];
-                for (l, base) in bases.iter_mut().enumerate() {
-                    let u = self.block_unit[g * nbc + bc] as usize;
-                    // A base past i32 (a corrupt `block_unit`) saturates,
-                    // so the fold's bounds check rejects it.
-                    *base = i32::try_from(u * seg).unwrap_or(i32::MAX);
-                    offsets[l] = planes.offset_of(col0 + j + l) + g * seg_len;
-                    in_bc += 1;
-                    if in_bc == self.block_cols {
-                        (bc, in_bc) = (bc + 1, 0);
-                    }
-                }
-                if fused {
-                    let sc = g * n + col0 + j;
-                    // The slice is exactly LANES long by construction, so
-                    // the array conversion cannot fail.
-                    #[allow(clippy::unwrap_used)]
-                    axcore_simd::fold_rows_finish_fp16(
-                        table,
-                        slot_len,
-                        rows,
-                        &bases,
-                        planes.bytes(),
-                        &offsets,
-                        seg_len,
-                        self.scales[sc..sc + LANES].try_into().unwrap(),
-                        self.axscale.c2(),
-                        &mut out[j..],
-                        cols,
-                    );
-                    continue;
-                }
-                let (sig, exp) = axcore_simd::fold_rows(
-                    table,
-                    slot_len,
-                    rows,
-                    &bases,
-                    planes.bytes(),
-                    &offsets,
-                    seg_len,
-                );
-                for r in 0..rows {
-                    for l in 0..LANES {
-                        let acc = PartialAcc::from_parts(exp[r][l], sig[r][l] as i64, self.act);
-                        out[r * cols + j + l] += finish(&acc, g, col0 + j + l);
-                    }
-                }
+            let mut cursor = (col0 / self.block_cols, col0 % self.block_cols);
+            let mut j = 0;
+            while cols - j >= 8 {
+                j += if cols - j >= 16 {
+                    self.fold_tile::<16>(&tiles, j, &mut cursor, out)
+                } else {
+                    self.fold_tile::<8>(&tiles, j, &mut cursor, out)
+                };
             }
-            // Remainder columns (< LANES) run the scalar chain on the
-            // same entries, with the saturating adder (this rung also
-            // serves BF16, whose exponent gaps can pass 63).
+            // Remainder columns (< 8) run the scalar chain on the same
+            // entries, with the saturating adder (this rung also serves
+            // BF16, whose exponent gaps can pass 63).
             for r in 0..rows {
-                let rt = &table[r * slot_len..(r + 1) * slot_len];
-                for jj in full_tiles * LANES..cols {
+                let rt = &tiles.table[r * slot_len..(r + 1) * slot_len];
+                for jj in j..cols {
                     let col = col0 + jj;
                     let u = self.block_unit[g * nbc + col / self.block_cols] as usize;
                     let es = &rt[u * seg..(u + 1) * seg];
-                    let cd = &planes.plane(col)[g * seg_len..(g + 1) * seg_len];
+                    let cd = &planes.plane(col)[g * gs / 2..(g + 1) * gs / 2];
                     let mut pacc = PartialAcc::new(self.act);
                     for (bi, &byte) in cd.iter().enumerate() {
                         let row = 2 * bi * cs;
                         pacc.add_prepared(split_entry(es[row + (byte as usize & 0xf)]));
                         pacc.add_prepared(split_entry(es[row + cs + (byte as usize >> 4)]));
                     }
-                    out[r * cols + jj] += finish(&pacc, g, col);
+                    out[r * cols + jj] += self.lut_finish(&pacc, g, col);
                 }
             }
         }
     }
+
+    /// One `L`-column tile (8 or 16) of one group at column `j` of the
+    /// shard: the lanes' unit bases and code offsets, advancing the
+    /// block-column `cursor`, then one [`axcore_simd::fold_rows`] call —
+    /// the kernel decodes the tile's codes once for the whole block and
+    /// looks entries up in registers; a tile spanning several units is
+    /// handled inside the kernel, which groups its lanes by the unit
+    /// segment `block_unit` names. With `fused` the Norm → AxScale →
+    /// decode epilogue runs in the same kernel
+    /// ([`axcore_simd::fold_rows_finish_fp16`], bit-identical to
+    /// [`Self::lut_finish`]); otherwise the lanes come back and finish one
+    /// by one. Returns `L`, the columns folded.
+    fn fold_tile<const L: usize>(
+        &self,
+        tiles: &FoldTiles<'_>,
+        j: usize,
+        cursor: &mut (usize, usize),
+        out: &mut [f32],
+    ) -> usize {
+        let (n, gs, g) = (self.n, self.group_size, tiles.g);
+        let nbc = n / self.block_cols;
+        let seg = gs * self.code_space;
+        let seg_len = gs / 2;
+        let col = tiles.col0 + j;
+        // A base past i32 (a corrupt `block_unit`) saturates, so the
+        // fold's bounds check rejects it.
+        let base_of = |bc: usize| {
+            i32::try_from(self.block_unit[g * nbc + bc] as usize * seg).unwrap_or(i32::MAX)
+        };
+        let mut bases = [0i32; L];
+        if self.block_cols - cursor.1 >= L {
+            // The whole tile inside one block column: one unit.
+            bases = [base_of(cursor.0); L];
+            cursor.1 += L;
+        } else {
+            for base in bases.iter_mut() {
+                *base = base_of(cursor.0);
+                cursor.1 += 1;
+                if cursor.1 == self.block_cols {
+                    *cursor = (cursor.0 + 1, 0);
+                }
+            }
+        }
+        if cursor.1 == self.block_cols {
+            *cursor = (cursor.0 + 1, 0);
+        }
+        let off0 = tiles.planes.offset_of(col) + g * seg_len;
+        let offsets: [usize; L] = std::array::from_fn(|l| off0 + l * tiles.planes.stride());
+        let (table, stride, rows) = (tiles.table, tiles.slot_len, tiles.rows);
+        let bytes = tiles.planes.bytes();
+        if tiles.fused {
+            let sc = g * n + col;
+            // The slice is exactly L long by construction, so the array
+            // conversion cannot fail.
+            #[allow(clippy::unwrap_used)]
+            axcore_simd::fold_rows_finish_fp16(
+                table,
+                stride,
+                rows,
+                &bases,
+                bytes,
+                &offsets,
+                seg_len,
+                self.scales[sc..sc + L].try_into().unwrap(),
+                self.axscale.c2(),
+                &mut out[j..],
+                tiles.cols,
+            );
+            return L;
+        }
+        let (sig, exp) =
+            axcore_simd::fold_rows(table, stride, rows, &bases, bytes, &offsets, seg_len);
+        for r in 0..rows {
+            for l in 0..L {
+                let acc = PartialAcc::from_parts(exp[r][l], sig[r][l] as i64, self.act);
+                out[r * tiles.cols + j + l] += self.lut_finish(&acc, g, col + l);
+            }
+        }
+        L
+    }
+
+    /// Norm → dequantize → widen of one column's group partial: AxScale
+    /// on the FP16 scale with FPMA dequantization, an exact product with
+    /// the scale's value otherwise.
+    #[inline(always)]
+    fn lut_finish(&self, pacc: &PartialAcc, g: usize, col: usize) -> f32 {
+        let o_bits = self.norm.normalize(pacc);
+        let scaled = if self.fpma_dequant {
+            self.act
+                .decode(self.axscale.apply(o_bits, self.scales[g * self.n + col]))
+        } else {
+            self.act.decode(o_bits) * self.scale_vals[g * self.n + col]
+        };
+        scaled as f32
+    }
+}
+
+/// One group's fold state shared by the tiles of
+/// [`AxCorePrepared::lut_fold_cols_avx2`]: the block's built table, the
+/// shard's planes and where the shard sits.
+struct FoldTiles<'a> {
+    table: &'a [i32],
+    slot_len: usize,
+    rows: usize,
+    planes: PlaneShard<'a>,
+    g: usize,
+    col0: usize,
+    cols: usize,
+    fused: bool,
 }
 
 #[cfg(test)]

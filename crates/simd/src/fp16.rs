@@ -3,9 +3,11 @@
 //! Norm → AxScale finish on the fold's accumulator lanes.
 //!
 //! Each stage has a public scalar reference here (the bit-exactness
-//! oracle the vector kernel is tested against) and an AVX2 kernel behind
-//! a runtime-dispatching entry point. The references are written against
-//! FP16's fixed geometry (10 mantissa bits, bias 15, largest finite
+//! oracle the vector kernels are tested against) and an AVX2 kernel
+//! behind a runtime-dispatching entry point; the table build and the
+//! finish also have an AVX-512 body, which the finish runs on the fold's
+//! 16-lane tiles. The references are written against FP16's fixed
+//! geometry (10 mantissa bits, bias 15, largest finite
 //! magnitude `0x7bff`); the engine only takes these kernels for FP16
 //! activations with FPMA dequantization, and its tests pin every
 //! reference bit-equal to the generic softfloat/PreAdd/PE/Norm/AxScale
@@ -37,6 +39,8 @@ const ADDEND_CLAMP: i64 = 1 << 24;
 /// Bound on the PreAdd compensation constant `C₁` the build accepts, so
 /// `|t| < 2^16` holds for every FP16 activation.
 const C1_LIMIT: u32 = 1 << 14;
+
+use crate::Body;
 
 /// Round `v` right by `shift` bits, ties to even (`1 ≤ shift ≤ 31`,
 /// `v ≤ 2^31`, so the biased sum cannot leave u32).
@@ -215,35 +219,75 @@ fn check_build_shapes(bits: &[u32], addends: &[i64], signs: &[i64], out: &[i32])
 }
 
 /// Build one unit's packed LUT rows for a run of FP16 activation
-/// elements: bit-identical to [`scalar_build_rows_fp16`], running the
-/// AVX2 kernel when the CPU has AVX2.
+/// elements: bit-identical to [`scalar_build_rows_fp16`]. Writes each
+/// element's 16 entries as one AVX-512 register where
+/// [`crate::fold_lanes`] is 16, as two AVX2 registers where the CPU has
+/// AVX2, and runs the reference otherwise.
 ///
 /// # Panics
 ///
 /// Panics on the reference's shape violations, or unless
-/// `|c1| < 2^14` (the bound that makes the kernel's i32 narrowing of
+/// `|c1| < 2^14` (the bound that makes the kernels' i32 narrowing of
 /// the addends exact).
 pub fn build_rows_fp16(bits: &[u32], c1: i32, addends: &[i64], signs: &[i64], out: &mut [i32]) {
-    check_build_shapes(bits, addends, signs, out);
-    assert!(c1.unsigned_abs() < C1_LIMIT, "compensation constant {c1} out of range");
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2_available() {
-        // SAFETY: AVX2 confirmed at runtime; shapes asserted above.
-        return unsafe { avx2_build_rows_fp16(bits, c1, addends, signs, out) };
-    }
-    scalar_build_rows_fp16(bits, c1, addends, signs, out);
+    build_rows_on(Body::for_lanes::<16>(), bits, c1, addends, signs, out);
 }
 
-/// [`build_rows_fp16`] in AVX2: the unit's rows are narrowed to i32 once
-/// per call (addends clamped to `±2^24`, signs truncated), then each
-/// element broadcasts its PreAdd term and writes its 16 entries as two
-/// 8-lane vectors — add, clamp, flush mask, sign fold, pack.
+/// [`build_rows_fp16`] on a named body — the self-test and the tests
+/// check each body through this.
+///
+/// # Panics
+///
+/// As [`build_rows_fp16`], or unless the CPU has `body`'s instruction
+/// set.
+pub(crate) fn build_rows_on(
+    body: Body,
+    bits: &[u32],
+    c1: i32,
+    addends: &[i64],
+    signs: &[i64],
+    out: &mut [i32],
+) {
+    check_build_shapes(bits, addends, signs, out);
+    assert!(c1.unsigned_abs() < C1_LIMIT, "compensation constant {c1} out of range");
+    assert!(body.available(), "{body:?} cannot run here");
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F confirmed above; shapes asserted above.
+        Body::Avx512 => unsafe { avx512_build_rows_fp16(bits, c1, addends, signs, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 confirmed above; shapes asserted above.
+        Body::Avx2 => unsafe { avx2_build_rows_fp16(bits, c1, addends, signs, out) },
+        _ => scalar_build_rows_fp16(bits, c1, addends, signs, out),
+    }
+}
+
+/// The unit's rows narrowed to i32 for the vector builds: addends
+/// clamped to `±2^24`, sign masks truncated. Inlined into each build
+/// body, so the narrowing runs in that body's vector width.
 ///
 /// Bit-identity with the reference: the clamp is exact because
 /// `|t| < 2^16` (see `ADDEND_CLAMP`), every later value fits i32
 /// (`mag ≤ 0x7bff`, `|val| < 2^13`), and the low 16 bits of
 /// `(val ^ s) − s` depend only on the low 16 bits of `s`, so truncating
 /// the sign masks changes no stored bit.
+#[inline(always)]
+fn narrow_rows(addends: &[i64], signs: &[i64]) -> ([i32; 32], [i32; 16]) {
+    let mut a32 = [0i32; 32];
+    for (d, &a) in a32.iter_mut().zip(addends) {
+        *d = a.clamp(-ADDEND_CLAMP, ADDEND_CLAMP) as i32;
+    }
+    let mut s32 = [0i32; 16];
+    for (d, &s) in s32.iter_mut().zip(signs) {
+        *d = s as i32;
+    }
+    (a32, s32)
+}
+
+/// [`build_rows_fp16`] in AVX2: the unit's rows are narrowed to i32
+/// once per call ([`narrow_rows`]), then each element broadcasts its
+/// PreAdd term and writes its 16 entries as two 8-lane vectors — add,
+/// clamp, flush mask, sign fold, pack.
 ///
 /// # Safety
 ///
@@ -259,14 +303,7 @@ unsafe fn avx2_build_rows_fp16(
     out: &mut [i32],
 ) {
     use std::arch::x86_64::*;
-    let mut a32 = [0i32; 32];
-    for (d, &a) in a32.iter_mut().zip(addends) {
-        *d = a.clamp(-ADDEND_CLAMP, ADDEND_CLAMP) as i32;
-    }
-    let mut s32 = [0i32; 16];
-    for (d, &s) in s32.iter_mut().zip(signs) {
-        *d = s as i32;
-    }
+    let (a32, s32) = narrow_rows(addends, signs);
     let ap = a32.as_ptr() as *const __m256i;
     let sp = s32.as_ptr() as *const __m256i;
     let rows = [
@@ -305,6 +342,59 @@ unsafe fn avx2_build_rows_fp16(
             );
             _mm256_storeu_si256(d.add(h), entry);
         }
+    }
+}
+
+/// [`build_rows_fp16`] in AVX-512: the AVX2 build's steps with each
+/// element's 16 entries in one register, the flush as a compare mask
+/// (`mag` and `inc` zeroed under it, as the AVX2 build's `and` with the
+/// compare vector does).
+///
+/// # Safety
+///
+/// Caller must guarantee AVX-512F is available, `addends.len() == 32`,
+/// `signs.len() == 16` and `out.len() == bits.len() * 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512_build_rows_fp16(
+    bits: &[u32],
+    c1: i32,
+    addends: &[i64],
+    signs: &[i64],
+    out: &mut [i32],
+) {
+    use std::arch::x86_64::*;
+    let (a32, s32) = narrow_rows(addends, signs);
+    let ap = a32.as_ptr() as *const __m512i;
+    let rows = [_mm512_loadu_si512(ap), _mm512_loadu_si512(ap.add(1))];
+    let sg = _mm512_loadu_si512(s32.as_ptr() as *const __m512i);
+    let max_mag = _mm512_set1_epi32(MAX_MAG);
+    let below = _mm512_set1_epi32(MIN_NORMAL - 1);
+    let man = _mm512_set1_epi32(0x3ff);
+    let hidden = _mm512_set1_epi32(MIN_NORMAL);
+    let low16 = _mm512_set1_epi32(0xffff);
+    let dst = out.as_mut_ptr() as *mut __m512i;
+    for (e, &b) in bits.iter().enumerate() {
+        let d = dst.add(e);
+        let mag_a = (b & 0x7fff) as i32;
+        if mag_a == 0 {
+            _mm512_storeu_si512(d, _mm512_setzero_si512());
+            continue;
+        }
+        let t = _mm512_set1_epi32(mag_a + c1);
+        let row = rows[((b >> (MAN_BITS - 1)) & 1) as usize];
+        let tsign = _mm512_set1_epi32(-(((b >> 15) & 1) as i32));
+        let r = _mm512_min_epi32(_mm512_add_epi32(t, row), max_mag);
+        let keep = _mm512_cmpgt_epi32_mask(r, below);
+        let mag = _mm512_maskz_mov_epi32(keep, r);
+        let s = _mm512_xor_si512(tsign, sg);
+        let val = _mm512_slli_epi32::<2>(_mm512_or_si512(_mm512_and_si512(mag, man), hidden));
+        let inc = _mm512_maskz_sub_epi32(keep, _mm512_xor_si512(val, s), s);
+        let entry = _mm512_or_si512(
+            _mm512_slli_epi32::<16>(_mm512_srli_epi32::<10>(mag)),
+            _mm512_and_si512(inc, low16),
+        );
+        _mm512_storeu_si512(d, entry);
     }
 }
 
@@ -371,83 +461,193 @@ pub fn finish_fp16(
     c2: i32,
     out: &mut [f32; 8],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2_available() {
-        // SAFETY: AVX2 confirmed at runtime; all arrays are 8 lanes.
-        unsafe {
-            use std::arch::x86_64::*;
-            let s = _mm256_loadu_si256(sig.as_ptr() as *const __m256i);
-            let e = _mm256_loadu_si256(exp.as_ptr() as *const __m256i);
-            avx2_finish_add(s, e, scales, c2, out);
+    finish_on(Body::for_lanes::<8>(), sig, exp, scales, c2, out);
+}
+
+/// [`finish_fp16`] on a named body and 8 or 16 lanes — the self-test
+/// and the tests check each body through this; the fused fold runs the
+/// same kernels on its registers.
+///
+/// # Panics
+///
+/// Unless the CPU has `body`'s instruction set and, for the AVX-512
+/// body, `L == 16`.
+pub(crate) fn finish_on<const L: usize>(
+    body: Body,
+    sig: &[i32; L],
+    exp: &[i32; L],
+    scales: &[u16; L],
+    c2: i32,
+    out: &mut [f32; L],
+) {
+    const { assert!(L == 8 || L == 16, "a finish takes 8 or 16 lanes") };
+    assert!(body.runs::<L>(), "{body:?} cannot finish {L} lanes here");
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => {
+            // `runs` admits this body only at 16 lanes, so every
+            // conversion below is 16 long and cannot fail.
+            #[allow(clippy::unwrap_used)]
+            let (scales, out): (&[u16; 16], &mut [f32; 16]) = (
+                scales[..].try_into().unwrap(),
+                (&mut out[..]).try_into().unwrap(),
+            );
+            // SAFETY: AVX-512F confirmed by `runs`; `sig` and `exp` hold
+            // 16 lanes each.
+            unsafe {
+                use std::arch::x86_64::*;
+                let s = _mm512_loadu_si512(sig.as_ptr() as *const __m512i);
+                let e = _mm512_loadu_si512(exp.as_ptr() as *const __m512i);
+                avx512_finish_add(s, e, scales, c2, out);
+            }
         }
-        return;
-    }
-    for l in 0..8 {
-        out[l] += scalar_finish_fp16(sig[l], exp[l], scales[l], c2);
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => {
+            for h in 0..L / 8 {
+                // Each half is exactly 8 long, so the conversions cannot
+                // fail.
+                #[allow(clippy::unwrap_used)]
+                let (scales, out): (&[u16; 8], &mut [f32; 8]) = (
+                    scales[8 * h..8 * h + 8].try_into().unwrap(),
+                    (&mut out[8 * h..8 * h + 8]).try_into().unwrap(),
+                );
+                // SAFETY: AVX2 confirmed by `runs`; lanes `8h..8h + 8` of
+                // `sig` and `exp` exist (`L` is 8 or 16).
+                unsafe {
+                    use std::arch::x86_64::*;
+                    let s = _mm256_loadu_si256(sig.as_ptr().add(8 * h) as *const __m256i);
+                    let e = _mm256_loadu_si256(exp.as_ptr().add(8 * h) as *const __m256i);
+                    avx2_finish_add(s, e, scales, c2, out);
+                }
+            }
+        }
+        _ => {
+            for l in 0..L {
+                out[l] += scalar_finish_fp16(sig[l], exp[l], scales[l], c2);
+            }
+        }
     }
 }
 
 /// [`crate::fold_rows`] with the [`finish_fp16`] epilogue fused on: fold
-/// one group × eight columns for a block of `rows` activation rows, then
-/// normalize, AxScale and widen each row's eight lanes and add them into
-/// that row's outputs, `out[r * out_stride..r * out_stride + 8]`. The
-/// eight columns' `scales` serve every row. On the AVX2 path the
-/// accumulator lanes never leave vector registers. Bit-identical to
-/// `fold_rows` followed by [`scalar_finish_fp16`] per lane (the vector
-/// fold's `exp` may differ on `sig == 0` lanes, which the finish maps to
-/// the same signed zero whatever their anchor).
+/// one group × `L` columns (8 or 16) for a block of `rows` activation
+/// rows, then normalize, AxScale and widen each row's lanes and add them
+/// into that row's outputs, `out[r * out_stride..r * out_stride + L]`.
+/// The columns' `scales` serve every row. The body is the one
+/// [`crate::fold_rows`] picks; on the vector bodies the accumulator
+/// lanes never leave vector registers. Bit-identical to `fold_rows`
+/// followed by [`scalar_finish_fp16`] per lane (the vector fold's `exp`
+/// may differ on `sig == 0` lanes, which the finish maps to the same
+/// signed zero whatever their anchor).
 ///
 /// # Panics
 ///
 /// Panics on [`crate::fold_rows`]'s bounds violations, or unless every
-/// row's eight outputs lie inside `out`.
+/// row's `L` outputs lie inside `out`.
 #[allow(clippy::too_many_arguments)]
-pub fn fold_rows_finish_fp16(
+pub fn fold_rows_finish_fp16<const L: usize>(
     table: &[i32],
     row_stride: usize,
     rows: usize,
-    bases: &[i32; 8],
+    bases: &[i32; L],
     planes: &[u8],
-    offsets: &[usize; 8],
+    offsets: &[usize; L],
     seg_len: usize,
-    scales: &[u16; 8],
+    scales: &[u16; L],
+    c2: i32,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let body = Body::for_fold::<L>(seg_len);
+    let (t, rs, p, sl) = (table, row_stride, planes, seg_len);
+    fold_rows_finish_on(
+        body, t, rs, rows, bases, p, offsets, sl, scales, c2, out, out_stride,
+    );
+}
+
+/// [`fold_rows_finish_fp16`] on a named body — the self-test and the
+/// tests check each body through this.
+///
+/// # Panics
+///
+/// As [`fold_rows_finish_fp16`], or unless `body` can fold this tile
+/// here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_rows_finish_on<const L: usize>(
+    body: Body,
+    table: &[i32],
+    row_stride: usize,
+    rows: usize,
+    bases: &[i32; L],
+    planes: &[u8],
+    offsets: &[usize; L],
+    seg_len: usize,
+    scales: &[u16; L],
     c2: i32,
     out: &mut [f32],
     out_stride: usize,
 ) {
     crate::check_fold_bounds(table, row_stride, rows, bases, planes, offsets, seg_len);
     assert!(
-        (rows - 1).saturating_mul(out_stride).saturating_add(8) <= out.len(),
-        "{rows} rows of 8 outputs at stride {out_stride} escape out of {}",
+        body.folds::<L>(seg_len),
+        "{body:?} cannot fold {L} lanes of {seg_len} bytes here"
+    );
+    assert!(
+        (rows - 1).saturating_mul(out_stride).saturating_add(L) <= out.len(),
+        "{rows} rows of {L} outputs at stride {out_stride} escape out of {}",
         out.len()
     );
-    #[cfg(target_arch = "x86_64")]
-    if seg_len.is_multiple_of(8) && crate::avx2_available() {
-        let units = crate::LaneUnits::of(bases);
-        let (t, rs, p, o, sl) = (table, row_stride, planes, offsets, seg_len);
-        // SAFETY: AVX2 confirmed at runtime; `seg_len` is a multiple of
-        // 8 and every code and table segment was bounds-checked above —
-        // `avx2_fold`'s contract.
-        unsafe {
-            match rows {
-                1 => avx2_fold_finish::<1>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
-                2 => avx2_fold_finish::<2>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
-                3 => avx2_fold_finish::<3>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
-                _ => avx2_fold_finish::<4>(t, rs, &units, p, o, sl, scales, c2, out, out_stride),
+    let (t, rs, p, sl) = (table, row_stride, planes, seg_len);
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => {
+            crate::note_wide_fold();
+            let units = crate::LaneUnits::of(bases);
+            let o: [usize; 16] = std::array::from_fn(|l| offsets[l]);
+            let sc: [u16; 16] = std::array::from_fn(|l| scales[l]);
+            // SAFETY: AVX-512F confirmed by `folds`; `seg_len` is a
+            // multiple of 8 and every code and table segment was
+            // bounds-checked above — `avx512_fold`'s contract.
+            unsafe {
+                with_rows!(
+                    rows,
+                    avx512_fold_finish(t, rs, &units, p, &o, sl, &sc, c2, out, out_stride)
+                )
             }
         }
-        return;
-    }
-    let (sig, exp) = crate::fold_rows(table, row_stride, rows, bases, planes, offsets, seg_len);
-    for r in 0..rows {
-        for l in 0..8 {
-            out[r * out_stride + l] += scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], c2);
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => {
+            for h in 0..L / 8 {
+                let units = crate::LaneUnits::of(&bases[8 * h..8 * h + 8]);
+                let o: [usize; 8] = std::array::from_fn(|l| offsets[8 * h + l]);
+                let sc: [u16; 8] = std::array::from_fn(|l| scales[8 * h + l]);
+                let out = &mut out[8 * h..];
+                // SAFETY: AVX2 confirmed by `folds`; `seg_len` is a
+                // multiple of 8 and every code and table segment was
+                // bounds-checked above — `avx2_fold`'s contract.
+                unsafe {
+                    with_rows!(
+                        rows,
+                        avx2_fold_finish(t, rs, &units, p, &o, sl, &sc, c2, out, out_stride)
+                    )
+                }
+            }
+        }
+        _ => {
+            let (sig, exp) = crate::fold_rows_on(body, t, rs, rows, bases, p, offsets, sl);
+            for r in 0..rows {
+                for l in 0..L {
+                    out[r * out_stride + l] +=
+                        scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], c2);
+                }
+            }
         }
     }
 }
 
-/// [`fold_rows_finish_fp16`]'s vector path for `R` rows: the fold, then
-/// [`avx2_finish_add`] on each row's lanes straight from registers.
+/// [`fold_rows_finish_fp16`]'s AVX2 body for `R` rows of one 8-lane
+/// tile: the fold, then [`avx2_finish_add`] on each row's lanes
+/// straight from registers.
 ///
 /// # Safety
 ///
@@ -479,6 +679,116 @@ unsafe fn avx2_fold_finish<const R: usize>(
         let row: &mut [f32; 8] = (&mut out[o..o + 8]).try_into().unwrap();
         avx2_finish_add(sig[r], exp[r], scales, c2, row);
     }
+}
+
+/// [`fold_rows_finish_fp16`]'s AVX-512 body for `R` rows of one 16-lane
+/// tile: the fold, then [`avx512_finish_add`] on each row's lanes
+/// straight from registers.
+///
+/// # Safety
+///
+/// `crate::avx512_fold`'s contract; the row outputs are slice-checked.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn avx512_fold_finish<const R: usize>(
+    table: &[i32],
+    row_stride: usize,
+    units: &crate::LaneUnits,
+    planes: &[u8],
+    offsets: &[usize; 16],
+    seg_len: usize,
+    scales: &[u16; 16],
+    c2: i32,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let (sig, exp) = if units.is_mixed() {
+        crate::avx512_fold::<R, true>(table, row_stride, units, planes, offsets, seg_len)
+    } else {
+        crate::avx512_fold::<R, false>(table, row_stride, units, planes, offsets, seg_len)
+    };
+    for r in 0..R {
+        let o = r * out_stride;
+        // The slice is exactly 16 long, so the conversion cannot fail.
+        #[allow(clippy::unwrap_used)]
+        let row: &mut [f32; 16] = (&mut out[o..o + 16]).try_into().unwrap();
+        avx512_finish_add(sig[r], exp[r], scales, c2, row);
+    }
+}
+
+/// [`avx2_finish_add`] on sixteen lanes: the same steps, each compare
+/// that the AVX2 form keeps as a lane mask held in a mask register (a
+/// blend becomes a masked move, an `and` with a compare a zero-masking
+/// move), so every lane computes what the AVX2 finish computes.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX-512F is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn avx512_finish_add(
+    sig: std::arch::x86_64::__m512i,
+    exp: std::arch::x86_64::__m512i,
+    scales: &[u16; 16],
+    c2: i32,
+    out: &mut [f32; 16],
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_si512();
+    let one = _mm512_set1_epi32(1);
+    let below = _mm512_set1_epi32(MIN_NORMAL - 1);
+    let max_mag = _mm512_set1_epi32(MAX_MAG);
+    let sign_bit = _mm512_set1_epi32(0x8000);
+    // Normalize.
+    let nonzero = _mm512_test_epi32_mask(sig, sig);
+    let neg = _mm512_srai_epi32::<31>(sig);
+    let a = _mm512_abs_epi32(sig);
+    let big = _mm512_test_epi32_mask(_mm512_srli_epi32::<24>(a), _mm512_set1_epi32(0xff));
+    let x = _mm512_mask_mov_epi32(a, big, _mm512_srli_epi32::<8>(a));
+    let fx = _mm512_castps_si512(_mm512_cvtepi32_ps(x));
+    let p0 = _mm512_sub_epi32(_mm512_srli_epi32::<23>(fx), _mm512_set1_epi32(127));
+    let p = _mm512_mask_add_epi32(p0, big, p0, _mm512_set1_epi32(8));
+    let drop = _mm512_sub_epi32(p, _mm512_set1_epi32(MAN_BITS as i32));
+    let rsh = _mm512_max_epi32(drop, zero);
+    let lsh = _mm512_max_epi32(_mm512_sub_epi32(zero, drop), zero);
+    let lsb = _mm512_and_si512(_mm512_srlv_epi32(a, rsh), one);
+    let half = _mm512_srli_epi32::<1>(_mm512_sllv_epi32(one, rsh));
+    let rnd = _mm512_max_epi32(_mm512_add_epi32(_mm512_sub_epi32(half, one), lsb), zero);
+    let r = _mm512_sllv_epi32(_mm512_srlv_epi32(_mm512_add_epi32(a, rnd), rsh), lsh);
+    let e = _mm512_add_epi32(exp, _mm512_sub_epi32(p, _mm512_set1_epi32(FRAC_BITS)));
+    let m = _mm512_sub_epi32(
+        _mm512_add_epi32(_mm512_slli_epi32::<10>(e), r),
+        _mm512_set1_epi32(MIN_NORMAL),
+    );
+    let live = _mm512_mask_cmpgt_epi32_mask(nonzero, m, below);
+    let o = _mm512_maskz_mov_epi32(live, _mm512_min_epi32(m, max_mag));
+    // AxScale (FPMA multiply by the FP16 scale).
+    let sc = _mm512_cvtepu16_epi32(_mm256_loadu_si256(scales.as_ptr() as *const __m256i));
+    let s = _mm512_and_si512(sc, _mm512_set1_epi32(0x7fff));
+    let sign = _mm512_xor_si512(
+        _mm512_and_si512(neg, sign_bit),
+        _mm512_and_si512(sc, sign_bit),
+    );
+    let r2 = _mm512_add_epi32(
+        _mm512_add_epi32(o, s),
+        _mm512_set1_epi32(c2.wrapping_sub(BIAS_UNITS)),
+    );
+    let operands = _mm512_mask_cmpgt_epi32_mask(
+        _mm512_mask_test_epi32_mask(_mm512_test_epi32_mask(o, o), s, s),
+        r2,
+        below,
+    );
+    let mag = _mm512_maskz_mov_epi32(operands, _mm512_min_epi32(r2, max_mag));
+    // Widen FP16 → f32 (normal or zero), then accumulate.
+    let f = _mm512_maskz_mov_epi32(
+        operands,
+        _mm512_slli_epi32::<13>(_mm512_add_epi32(mag, _mm512_set1_epi32(REBIAS_F16 as i32))),
+    );
+    let v = _mm512_castsi512_ps(_mm512_or_si512(f, _mm512_slli_epi32::<16>(sign)));
+    let acc = _mm512_loadu_ps(out.as_ptr());
+    _mm512_storeu_ps(out.as_mut_ptr(), _mm512_add_ps(acc, v));
 }
 
 /// The [`finish_fp16`] epilogue on eight lanes held in registers.
@@ -559,8 +869,11 @@ unsafe fn avx2_finish_add(
     _mm256_storeu_ps(out.as_mut_ptr(), _mm256_add_ps(acc, v));
 }
 
-/// One-shot check of the three FP16 kernels against their scalar
-/// references on fixed patterns, run by [`crate::self_test`].
+/// One-shot check of the FP16 kernels against their scalar references
+/// on fixed patterns, run by [`crate::self_test`]: encode, and the
+/// table build and the finish on each body the CPU has (AVX2, and
+/// AVX-512 at 16 lanes). Calls the bodies directly, never a
+/// dispatching entry point.
 pub(crate) fn self_check() -> bool {
     // Encode: specials, both ranges, the saturation edge and ties.
     let xs: Vec<f32> = [
@@ -587,20 +900,63 @@ pub(crate) fn self_check() -> bool {
         })
         .collect();
     let signs: Vec<i64> = (0..16).map(|i| -((i % 3 == 0) as i64)).collect();
-    let (mut want, mut have) = (vec![0i32; 128], vec![0i32; 128]);
+    let mut want = vec![0i32; 128];
     scalar_build_rows_fp16(&bits, -37, &addends, &signs, &mut want);
-    build_rows_fp16(&bits, -37, &addends, &signs, &mut have);
-    let build_ok = want == have;
-
-    // Finish: lanes across flush, round, carry and saturation.
-    let sig = [0, 1, -1, 4095, 2047 << 4, -(1 << 30), 0x7fff_ffff, 3 << 9];
-    let exp = [5, 0, 30, 17, 29, 3, 30, 1];
-    let scales = [0x3c00, 0x8001, 0x7bff, 0x0400, 0xb555, 0x0000, 0x2e66, 0xfc00];
-    let mut out = [0.25f32; 8];
-    finish_fp16(&sig, &exp, &scales, 29, &mut out);
-    let finish_ok = (0..8).all(|l| {
-        (0.25f32 + scalar_finish_fp16(sig[l], exp[l], scales[l], 29)).to_bits() == out[l].to_bits()
+    let build_ok = [Body::Avx2, Body::Avx512].iter().all(|&body| {
+        if !body.available() {
+            return true;
+        }
+        let mut have = vec![0i32; 128];
+        build_rows_on(body, &bits, -37, &addends, &signs, &mut have);
+        want == have
     });
+
+    // Finish: lanes across flush, round, carry, binade and saturation,
+    // eight lanes on the AVX2 body and sixteen on the AVX-512 one.
+    let sig = [
+        0,
+        1,
+        -1,
+        4095,
+        2047 << 4,
+        -(1 << 30),
+        0x7fff_ffff,
+        3 << 9,
+        i32::MIN,
+        (1 << 24) - 1,
+        -(1 << 24),
+        (0x7ff << 5) | 0x10,
+        (0x401 << 2) | 2,
+        -3,
+        1 << 12,
+        0x00ff_ffff,
+    ];
+    let exp = [5, 0, 30, 17, 29, 3, 30, 1, 12, -12, 40, 15, 0, 31, 15, 3];
+    let scales = [
+        0x3c00, 0x8001, 0x7bff, 0x0400, 0xb555, 0x0000, 0x2e66, 0xfc00, 0x3c00, 0x0001, 0xfbff,
+        0x8400, 0x3555, 0x8000, 0x2bff, 0x7c00,
+    ];
+    let finish_ok = |body: Body, lanes: usize| {
+        let mut out = [0.25f32; 16];
+        if lanes == 16 {
+            finish_on(body, &sig, &exp, &scales, 29, &mut out);
+        } else {
+            let (s8, e8, c8): ([i32; 8], [i32; 8], [u16; 8]) = (
+                std::array::from_fn(|l| sig[l]),
+                std::array::from_fn(|l| exp[l]),
+                std::array::from_fn(|l| scales[l]),
+            );
+            let mut o8 = [0.25f32; 8];
+            finish_on(body, &s8, &e8, &c8, 29, &mut o8);
+            out[..8].copy_from_slice(&o8);
+        }
+        (0..lanes).all(|l| {
+            let want = 0.25f32 + scalar_finish_fp16(sig[l], exp[l], scales[l], 29);
+            want.to_bits() == out[l].to_bits()
+        })
+    };
+    let finish_ok = (!Body::Avx2.available() || finish_ok(Body::Avx2, 8))
+        && (!Body::Avx512.available() || finish_ok(Body::Avx512, 16));
     encode_ok && build_ok && finish_ok
 }
 
@@ -702,6 +1058,7 @@ mod tests {
     #[test]
     fn build_vector_matches_reference() {
         let mut rng = Rng(0xb111_d000_c0de_0001);
+        let bodies = build_bodies("build_vector_matches_reference");
         for trial in 0..200 {
             let len = 1 + trial % 67;
             let bits: Vec<u32> = (0..len)
@@ -713,10 +1070,16 @@ mod tests {
                 .collect();
             let (addends, signs) = random_rows(&mut rng);
             let c1 = (rng.next() % 4001) as i32 - 2000;
-            let (mut want, mut got) = (vec![0i32; len * 16], vec![7i32; len * 16]);
+            let mut want = vec![0i32; len * 16];
             scalar_build_rows_fp16(&bits, c1, &addends, &signs, &mut want);
+            for &body in &bodies {
+                let mut got = vec![7i32; len * 16];
+                build_rows_on(body, &bits, c1, &addends, &signs, &mut got);
+                assert_eq!(want, got, "{body:?} trial {trial}");
+            }
+            let mut got = vec![7i32; len * 16];
             build_rows_fp16(&bits, c1, &addends, &signs, &mut got);
-            assert_eq!(want, got, "trial {trial}");
+            assert_eq!(want, got, "dispatch trial {trial}");
         }
     }
 
@@ -727,10 +1090,19 @@ mod tests {
         let mut rng = Rng(0x0dd_ba11);
         let bits: Vec<u32> = (0..=0xffffu32).collect();
         let (addends, signs) = random_rows(&mut rng);
-        let (mut want, mut got) = (vec![0i32; bits.len() * 16], vec![0i32; bits.len() * 16]);
+        let mut want = vec![0i32; bits.len() * 16];
         scalar_build_rows_fp16(&bits, 83, &addends, &signs, &mut want);
-        build_rows_fp16(&bits, 83, &addends, &signs, &mut got);
-        assert_eq!(want, got);
+        for body in build_bodies("build_vector_matches_reference_on_every_activation") {
+            let mut got = vec![0i32; bits.len() * 16];
+            build_rows_on(body, &bits, 83, &addends, &signs, &mut got);
+            assert!(want == got, "{body:?} build differs from the reference");
+        }
+    }
+
+    /// The vector table-build bodies this CPU runs; each absent one
+    /// prints a skip line.
+    fn build_bodies(test: &str) -> Vec<Body> {
+        crate::tests::vector_bodies::<16>(test)
     }
 
     #[test]
@@ -763,27 +1135,38 @@ mod tests {
 
     #[test]
     fn finish_vector_matches_reference_on_every_scale() {
+        // The AVX2 body on 8-lane chunks, the AVX-512 body on 16-lane
+        // ones: every edge lane meets every scale on each body.
+        finish_matches_reference_at::<8>(Body::Avx2);
+        finish_matches_reference_at::<16>(Body::Avx512);
+    }
+
+    fn finish_matches_reference_at<const L: usize>(body: Body) {
+        if !body.available() {
+            println!("finish_vector_matches_reference_on_every_scale: skipped the {body:?} body at {L} lanes (CPU feature absent)");
+            return;
+        }
         let lanes = edge_lanes();
         for c2 in [0, 29, -13] {
-            for (li, chunk) in lanes.chunks(8).enumerate() {
-                if chunk.len() < 8 {
+            for (li, chunk) in lanes.chunks(L).enumerate() {
+                if chunk.len() < L {
                     continue;
                 }
-                let sig: [i32; 8] = std::array::from_fn(|l| chunk[l].0);
-                let exp: [i32; 8] = std::array::from_fn(|l| chunk[l].1);
+                let sig: [i32; L] = std::array::from_fn(|l| chunk[l].0);
+                let exp: [i32; L] = std::array::from_fn(|l| chunk[l].1);
                 // Every lane sees all 65 536 scale patterns, each vector
                 // mixing signs and binades across its lanes.
                 for base in 0..=0xffffu32 {
-                    let scales: [u16; 8] =
+                    let scales: [u16; L] =
                         std::array::from_fn(|l| (base + (l as u32 * 8191 + li as u32)) as u16);
-                    let mut out = [0.0f32; 8];
-                    finish_fp16(&sig, &exp, &scales, c2, &mut out);
-                    for l in 0..8 {
+                    let mut out = [0.0f32; L];
+                    finish_on(body, &sig, &exp, &scales, c2, &mut out);
+                    for l in 0..L {
                         let want = scalar_finish_fp16(sig[l], exp[l], scales[l], c2);
                         assert_eq!(
                             out[l].to_bits(),
                             (0.0f32 + want).to_bits(),
-                            "sig {} exp {} scale {:#06x} c2 {c2}",
+                            "{body:?} sig {} exp {} scale {:#06x} c2 {c2}",
                             sig[l],
                             exp[l],
                             scales[l]
@@ -807,12 +1190,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_fold_equals_fold_then_finish() {
-        let mut rng = Rng(0xf05e_d000_0000_0001);
-        // Lane → unit maps with 1, 2 and 3 distinct units.
-        let lane_units: [[usize; 8]; 3] =
-            [[0; 8], [0, 0, 0, 0, 1, 1, 1, 1], [2, 2, 0, 0, 1, 1, 2, 2]];
+    /// The fused fold + finish on every vector body of `L`-lane tiles
+    /// against the same body's fold followed by the scalar finish.
+    fn fused_equals_split_at<const L: usize>(lane_units: [[usize; L]; 3], seed: u64) {
+        let mut rng = Rng(seed);
+        let bodies = crate::tests::vector_bodies::<L>("fused_fold_equals_fold_then_finish");
         for trial in 0..40 {
             let seg_len = 8 * (1 + trial % 4);
             let units = 3;
@@ -831,37 +1213,57 @@ mod tests {
                 })
                 .collect();
             let plane_len = 2 * seg_len;
-            let planes: Vec<u8> = (0..8 * plane_len).map(|_| rng.next() as u8).collect();
+            let planes: Vec<u8> = (0..L * plane_len).map(|_| rng.next() as u8).collect();
             let lane_unit = lane_units[trial % 3];
-            let bases: [i32; 8] = std::array::from_fn(|l| (lane_unit[l] * seg_len * 32) as i32);
-            let offsets: [usize; 8] = std::array::from_fn(|l| l * plane_len + seg_len / 2);
-            let scales: [u16; 8] = std::array::from_fn(|_| rng.next() as u16);
+            let bases: [i32; L] = std::array::from_fn(|l| (lane_unit[l] * seg_len * 32) as i32);
+            let offsets: [usize; L] = std::array::from_fn(|l| l * plane_len + seg_len / 2);
+            let scales: [u16; L] = std::array::from_fn(|_| rng.next() as u16);
             // Row outputs at a stride wider than the tile, pre-filled, so
-            // the fused form must add into exactly its own eight slots.
-            let out_stride = 8 + 3 * (trial % 2);
-            for rows in 1..=crate::FOLD_ROWS {
-                let fill: Vec<f32> = (0..rows * out_stride).map(|i| i as f32 * 0.25).collect();
-                let mut fused = fill.clone();
-                fold_rows_finish_fp16(
-                    &table, stride, rows, &bases, &planes, &offsets, seg_len, &scales, 29,
-                    &mut fused, out_stride,
-                );
-                let (sig, exp) =
-                    crate::fold_rows(&table, stride, rows, &bases, &planes, &offsets, seg_len);
-                let mut split = fill.clone();
-                for r in 0..rows {
-                    for l in 0..8 {
-                        split[r * out_stride + l] +=
-                            scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], 29);
+            // the fused form must add into exactly its own slots.
+            let out_stride = L + 3 * (trial % 2);
+            for &body in &bodies {
+                for rows in 1..=crate::FOLD_ROWS {
+                    let fill: Vec<f32> = (0..rows * out_stride).map(|i| i as f32 * 0.25).collect();
+                    let mut fused = fill.clone();
+                    fold_rows_finish_on(
+                        body, &table, stride, rows, &bases, &planes, &offsets, seg_len, &scales,
+                        29, &mut fused, out_stride,
+                    );
+                    let (sig, exp) = crate::fold_rows_on(
+                        body, &table, stride, rows, &bases, &planes, &offsets, seg_len,
+                    );
+                    let mut split = fill.clone();
+                    for r in 0..rows {
+                        for l in 0..L {
+                            split[r * out_stride + l] +=
+                                scalar_finish_fp16(sig[r][l], exp[r][l], scales[l], 29);
+                        }
                     }
+                    assert_eq!(
+                        fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{body:?} trial {trial} rows {rows}"
+                    );
                 }
-                assert_eq!(
-                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "trial {trial} rows {rows}"
-                );
             }
         }
+    }
+
+    #[test]
+    fn fused_fold_equals_fold_then_finish() {
+        // Lane → unit maps with 1, 2 and 3 distinct units.
+        fused_equals_split_at::<8>(
+            [[0; 8], [0, 0, 0, 0, 1, 1, 1, 1], [2, 2, 0, 0, 1, 1, 2, 2]],
+            0xf05e_d000_0000_0001,
+        );
+        fused_equals_split_at::<16>(
+            [
+                [0; 16],
+                [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+                [2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
+            ],
+            0xf05e_d000_0000_0016,
+        );
     }
 
     #[test]
@@ -872,6 +1274,17 @@ mod tests {
         let mut out = vec![0f32; 8 + 7];
         fold_rows_finish_fp16(
             &[0; 512], 256, 2, &[0; 8], &planes, &offsets, 8, &[0; 8], 0, &mut out, 8,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "escape out")]
+    fn sixteen_lane_fused_fold_rejects_short_outputs() {
+        let planes = vec![0u8; 128];
+        let offsets: [usize; 16] = std::array::from_fn(|l| l * 8);
+        let mut out = vec![0f32; 16 + 15];
+        fold_rows_finish_fp16(
+            &[0; 512], 256, 2, &[0; 16], &planes, &offsets, 8, &[0; 16], 0, &mut out, 16,
         );
     }
 

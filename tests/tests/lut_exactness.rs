@@ -344,3 +344,50 @@ fn pathological_activations_survive_full_verification() {
         }
     }
 }
+
+/// On a host whose LUT fold runs 16 columns per instruction
+/// (`axcore_simd::fold_lanes() == 16`), the AxCore LUT tier really takes
+/// the AVX-512 body: every 16-column tile of a 64-column GEMM is one
+/// counted wide fold, fused (FP16) and unfused (BF16) alike, and the
+/// output is the direct kernel's, bit for bit. Elsewhere no wide fold
+/// may run at all.
+#[test]
+fn lut_tier_takes_the_sixteen_lane_body_where_the_host_has_it() {
+    let (k, n) = (128, 64);
+    let fp4s = [QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0];
+    let q = all_codes_matrix(k, n, 32, 64, &fp4s, 5);
+    let lanes = axcore_simd::fold_lanes();
+    if lanes != 16 {
+        println!("fold_lanes() = {lanes}: this host has no 16-lane body to take");
+    }
+    for act in [FP16, BF16] {
+        let engine = AxCoreEngine::new(act);
+        let prepared = engine.prepare(&q);
+        for m in [1usize, 4, 5] {
+            let a = activations(m * k, m as u64);
+            let mut reference = vec![0f32; m * n];
+            axcore_parallel::with_threads(1, || {
+                with_lut_policy(LutPolicy::Never, || prepared.gemm(&a, m, &mut reference))
+            });
+            let mut got = vec![f32::NAN; m * n];
+            let ((), wide) = axcore_simd::count_wide_folds(|| {
+                axcore_parallel::with_threads(1, || {
+                    with_lut_policy(LutPolicy::Always, || prepared.gemm(&a, m, &mut got))
+                })
+            });
+            // One fold per (row block, group, 16-column tile).
+            let tiles = m.div_ceil(4) * (k / 32) * (n / 16);
+            if lanes == 16 {
+                assert!(
+                    wide >= tiles as u64,
+                    "{act:?} m {m}: {wide} wide folds, want {tiles}"
+                );
+            } else {
+                assert_eq!(wide, 0, "{act:?} m {m}: a wide fold ran without AVX-512");
+            }
+            for (j, (r, g)) in reference.iter().zip(&got).enumerate() {
+                assert_eq!(r.to_bits(), g.to_bits(), "{act:?} m {m} elem {j}");
+            }
+        }
+    }
+}
