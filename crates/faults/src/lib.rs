@@ -390,6 +390,7 @@ impl CampaignReport {
             "kv-table",
             "kv-hot",
             "kv-parity",
+            "kv-scales",
             "kv-group-double",
         ] {
             if !self.kv.iter().any(|t| t.site == site && t.injections > 0) {
@@ -710,7 +711,9 @@ fn sweep_kv(
         // step; computed lazily since most samples share boundaries.
         let mut evict_ref: Vec<Option<Vec<usize>>> = vec![None; budget];
         for site in KV_FAULT_SITES {
-            if site == "kv-hot" {
+            // The hot window has its own arena-level sweep, and an FP32
+            // arena seals no code page, so it has no scales.
+            if site == "kv-hot" || (site == "kv-scales" && kv.quant.is_none()) {
                 continue;
             }
             let mut tally = SiteTally::new(&format!("KvArena[{mode}]"), site);
@@ -1016,7 +1019,7 @@ mod tests {
         // in place, degraded cases fall back to recompute.
         assert!(r.kv_reconstructed > 0, "parity reconstruction never ran");
         assert!(r.kv_recompute_fallbacks > 0, "recompute fallback never ran");
-        for site in ["kv-hot", "kv-parity", "kv-group-double"] {
+        for site in ["kv-hot", "kv-parity", "kv-scales", "kv-group-double"] {
             assert!(
                 r.kv.iter().any(|t| t.site == site && t.injections > 0),
                 "no KV injections ran at {site}"

@@ -100,6 +100,21 @@ impl Fp4Grid {
         self.magnitudes[7]
     }
 
+    /// The value of every 4-bit code: `table[code]` is `±magnitude` for
+    /// the magnitude the code's low bits name, negative when the code's
+    /// sign bit is set (so the negative zero code reads `-0.0`). A
+    /// [`ScaledGrid::code`] `c` of a group with FP16 scale `s` dequantizes
+    /// as `table[c] * s`, which is exact in f32 and equals
+    /// [`ScaledGrid::value`] bit for bit.
+    pub fn signed_table(&self) -> [f32; 16] {
+        let mut table = [0f32; 16];
+        for (&m, &c) in self.magnitudes.iter().zip(&self.codes) {
+            table[usize::from(c)] = m;
+            table[usize::from(c | self.sign)] = -m;
+        }
+        table
+    }
+
     /// The grid of one group with FP16 scale `scale` (positive and finite:
     /// an FP16 value, so every product below is exact in f32).
     #[inline]
@@ -231,6 +246,24 @@ mod tests {
         assert_eq!((e1m2.sign, e3m0.codes), (0x8, [0, 1, 2, 3, 4, 5, 6, 7]));
         assert!(Fp4Grid::of(QuantFormat::INT4).is_none());
         assert!(Fp4Grid::of(QuantFormat::E4M3).is_none());
+    }
+
+    #[test]
+    fn signed_tables_times_the_scale_are_the_dequantized_values() {
+        for fmt in [QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0] {
+            let grid = Fp4Grid::of(fmt).expect("FP4 grid");
+            let table = grid.signed_table();
+            assert_eq!(table[usize::from(grid.sign)].to_bits(), (-0.0f32).to_bits());
+            for h in [0x0001u16, 0x03ff, 0x0400, 0x3c00, 0x5a3b, 0x7bff] {
+                let scale = fp16_value(h);
+                let g = grid.scaled(scale);
+                for w in (-300..=300).map(|i| i as f32 * scale / 40.0).chain([-0.0, 0.0]) {
+                    let want = g.value(w);
+                    let got = table[usize::from(g.code(w))] * scale;
+                    assert_eq!(got.to_bits(), want.to_bits(), "{fmt} w {w} scale {scale}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -166,6 +166,42 @@ pub fn qdq_group(format: QuantFormat, data: &mut [f32], len: usize, stride: usiz
     }
 }
 
+/// Round one group of `len` values, `data[0]`, `data[stride]`, …, onto
+/// `format`'s FP4 grid as codes: calls `put(i, code)` for each value and
+/// returns the group's FP16 scale bits. The codes and scale are the ones
+/// [`GroupQuantizer`] stores, and `table[code] × scale` (with the
+/// format's [`Fp4Grid::signed_table`] and the scale's f32 value) is bit
+/// for bit the word [`qdq_group`] writes.
+///
+/// Returns `None` without calling `put` when the grid does not cover the
+/// group: a format other than the three FP4 formats, a group holding NaN
+/// or ±inf, or a scale that rounds to FP16 zero.
+///
+/// # Panics
+///
+/// Panics if `data` is too short for `len` values at `stride`.
+#[inline]
+pub fn code_group(
+    format: QuantFormat,
+    data: &[f32],
+    len: usize,
+    stride: usize,
+    mut put: impl FnMut(usize, u8),
+) -> Option<u16> {
+    assert!(
+        len == 0 || (len - 1) * stride < data.len(),
+        "group of {len} at stride {stride} overruns {} values",
+        data.len()
+    );
+    let values = data.iter().step_by(stride).take(len).copied();
+    let r = GroupRounding::new(format, values.clone());
+    let grid = r.grid.as_ref()?;
+    for (i, w) in values.enumerate() {
+        put(i, grid.code(w));
+    }
+    Some(r.scale_bits)
+}
+
 /// How one group rounds onto a format (Eq. 1): its FP16 scale and, for the
 /// FP4 formats, its [`ScaledGrid`].
 pub(crate) struct GroupRounding {
@@ -316,6 +352,31 @@ mod tests {
         assert!(q.scale(0, 0) < q.scale(32, 0) / 100.0);
         // Fine-grained scale keeps the small group accurate.
         assert!((q.dequant(3, 0) - 0.01).abs() < 0.002);
+    }
+
+    #[test]
+    fn codes_dequantize_to_the_qdq_words() {
+        let w = ramp(64, 3);
+        for fmt in [QuantFormat::E1M2, QuantFormat::E2M1, QuantFormat::E3M0] {
+            let table = Fp4Grid::of(fmt).expect("FP4 grid").signed_table();
+            for stride in [1, 3] {
+                let mut codes = [0u8; 16];
+                let bits = code_group(fmt, &w, 16, stride, |i, c| codes[i] = c).expect("covered");
+                let mut qdq = w.clone();
+                qdq_group(fmt, &mut qdq, 16, stride);
+                for (i, &c) in codes.iter().enumerate() {
+                    let got = table[usize::from(c)] * fp16_value(bits);
+                    assert_eq!(got.to_bits(), qdq[i * stride].to_bits(), "{fmt} stride {stride} i {i}");
+                }
+            }
+        }
+        let mut hit = false;
+        assert_eq!(code_group(QuantFormat::INT4, &w, 16, 1, |_, _| hit = true), None);
+        let nan = [1.0, f32::NAN, 2.0, 0.5];
+        assert_eq!(code_group(QuantFormat::E2M1, &nan, 4, 1, |_, _| hit = true), None);
+        let tiny = [1e-9f32, -1e-9, 0.0, 1e-10];
+        assert_eq!(code_group(QuantFormat::E1M2, &tiny, 4, 1, |_, _| hit = true), None);
+        assert!(!hit, "an uncovered group writes no code");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`GroupQuantizer`] — symmetric group-wise round-to-nearest
 //!   quantization with FP16 scales (the paper's baseline scheme, group size
 //!   128 for OPT-style models / 64 for LLaMA-style models); [`qdq_group`]
-//!   rounds one strided group in place, [`fit_group`] fits a group size to
-//!   an axis.
+//!   rounds one strided group in place, [`code_group`] rounds it to codes
+//!   and a scale (a sealed KV code page), [`fit_group`] fits a group size
+//!   to an axis.
 //! * [`grid`] — the exact FP4 rounding grid every FP4 group rounds
 //!   through: threshold comparison against `midpoint × scale` in place of
 //!   per-value softfloat, bit-identical to it.
@@ -46,7 +47,7 @@ pub use act::{quantize_row_into, Q8Row, Q8_BLOCK};
 pub use format_select::{CalibrationStats, FormatPolicy};
 pub use formats::QuantFormat;
 pub use grid::{Fp4Grid, ScaledGrid};
-pub use group::{fit_group, qdq_group, GroupQuantizer};
+pub use group::{code_group, fit_group, qdq_group, GroupQuantizer};
 pub use kv::KvQuantConfig;
 pub use matrix::QuantizedMatrix;
 pub use packing::{CodePlanes, PlaneShard};

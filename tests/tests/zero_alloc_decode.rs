@@ -27,8 +27,9 @@
 //! a warm `m = 1` call through a multi-page view (verification included)
 //! and the 4-item stacked loop of a continuous-batching decode step
 //! (append, view, attend per item, one scratch for all) must both make
-//! zero heap allocations. So must a `try_commit` that seals a page of a
-//! warm 4-bit (`q4-opt`) arena: the seal quantizes each group in place.
+//! zero heap allocations, over f32 pages and over a 4-bit (`q4-opt`)
+//! arena's sealed code pages. So must a `try_commit` that seals a page
+//! of a warm `q4-opt` arena into codes and scales.
 //!
 //! The whole test binary is one `#[test]` so no other test can race
 //! the global armed flag.
@@ -258,8 +259,73 @@ fn steady_state_decode_allocates_nothing() {
         );
     });
 
+    // The same loops over a 4-bit arena, whose committed pages are
+    // sealed code pages (codes and FP16 scales, rebuilt by the kernel as
+    // it reads them) behind the f32 hot tail.
+    let q4_view_cfg = KvPageConfig { quant: Some(KvQuantConfig::opt()), ..kv_cfg };
+    let mut coded = KvArena::new(layers, d, nh, q4_view_cfg);
+    let mut coded_items = Vec::new();
+    for (i, len) in [40usize, 77, 16, 130].into_iter().enumerate() {
+        let seq = coded.try_join().expect("arena admits a sequence");
+        for layer in 0..layers {
+            let (k, v) = (rows(len, i as u64), rows(len, 7 + i as u64));
+            coded.try_append(seq, layer, 0, &k, &v).expect("prefix append");
+        }
+        coded.try_commit(seq, len).expect("prefix commit seals the full pages");
+        coded_items.push((seq, len));
+    }
+    assert!(
+        coded.resident_bytes() < arena.resident_bytes(),
+        "sealed code pages hold fewer bytes than f32 pages ({} vs {})",
+        coded.resident_bytes(),
+        arena.resident_bytes()
+    );
+    axcore_parallel::with_threads(1, || {
+        let (seq, len) = coded_items[3];
+        let mut one = || {
+            let view = coded.try_view(seq, 1, len).expect("verified view");
+            attend(&q[..d], &view, len - 1, 1, d, nh, dh, &mut scratch, &mut ctx[..d]);
+        };
+        for _ in 0..3 {
+            one();
+        }
+        let count = allocations_during(|| {
+            for _ in 0..50 {
+                one();
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "warm m = 1 attention over {} sealed code pages made {count} heap allocations \
+             across 50 calls; expected zero",
+            len / 16
+        );
+        let mut step = || {
+            for layer in 0..layers {
+                let items = coded_items.iter().copied();
+                try_attend_stacked(&mut coded, layer, items, &q, &k, &v, &mut scratch, &mut ctx)
+                    .expect("stacked attention");
+            }
+        };
+        for _ in 0..3 {
+            step();
+        }
+        let count = allocations_during(|| {
+            for _ in 0..50 {
+                step();
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "warm 4-item stacked attention over code pages made {count} heap allocations \
+             across 50 steps; expected zero"
+        );
+    });
+
     // Quantize-on-fill: a commit that seals a page rounds every K and V
-    // group of it in place. Parity is off (a new parity group allocates),
+    // group of it into codes and scales, in a code buffer the arena set
+    // aside when it claimed the page, and keeps the page's f32 rows for
+    // the next hot page. Parity is off (a new parity group allocates),
     // and each page's rows are appended before the counter is armed, so
     // the counted region is the commit alone.
     let q4_cfg = KvPageConfig {
