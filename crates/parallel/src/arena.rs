@@ -74,6 +74,18 @@ pub fn take<T: Clone + 'static>(len: usize, fill: T) -> ArenaVec<T> {
     ArenaVec { buf, recycle: true }
 }
 
+/// A new buffer of `len` elements equal to `fill` that never passes
+/// through the thread's free list: not taken from it, and freed to the
+/// allocator when dropped. For long-lived buffers (KV pages), whose churn
+/// would otherwise take and displace the per-call scratch the free list
+/// is for.
+pub fn fresh<T: Clone + 'static>(len: usize, fill: T) -> ArenaVec<T> {
+    ArenaVec {
+        buf: vec![fill; len],
+        recycle: false,
+    }
+}
+
 /// [`take`], but every element is guaranteed to equal `fill` — for
 /// callers that rely on initialized contents.
 pub fn take_filled<T: Clone + 'static>(len: usize, fill: T) -> ArenaVec<T> {
@@ -159,6 +171,27 @@ mod tests {
             assert_eq!(b[0], 42);
             let c = take_filled::<u64>(4, 0);
             assert!(c.iter().all(|&v| v == 0));
+        });
+    }
+
+    #[test]
+    fn fresh_buffers_skip_the_free_list() {
+        crate::with_exec_mode(crate::ExecMode::Pooled, || {
+            trim();
+            {
+                let mut a = take(4, 0i64);
+                a[0] = 42;
+            }
+            // A fresh buffer leaves the cached one in place, and is not
+            // cached in turn when dropped.
+            {
+                let mut f = fresh(4, 1i64);
+                assert!(f.iter().all(|&v| v == 1));
+                f[0] = 7;
+            }
+            let cached = take::<i64>(4, 0);
+            assert_eq!(cached[0], 42);
+            assert_eq!(take::<i64>(4, 0)[0], 0, "a fresh buffer must not come back");
         });
     }
 
