@@ -376,14 +376,40 @@ pub fn try_attend_stacked(
     scratch: &mut AttnScratch,
     ctx: &mut [f32],
 ) -> Result<(), KvError> {
-    let (d, n_heads) = arena.shape();
-    let dh = d / n_heads;
+    let d = arena.shape().0;
     for (r, (seq, pos)) in items.into_iter().enumerate() {
         let row = r * d..(r + 1) * d;
-        arena.try_append(seq, layer, pos, &k[row.clone()], &v[row.clone()])?;
-        let view = arena.try_view(seq, layer, pos + 1)?;
-        attend(&q[row.clone()], &view, pos, 1, d, n_heads, dh, scratch, &mut ctx[row]);
+        let kv = (&k[row.clone()], &v[row.clone()]);
+        try_attend_item(arena, layer, seq, pos, kv, &q[row.clone()], scratch, &mut ctx[row])?;
     }
+    Ok(())
+}
+
+/// One layer of attention for one item of a paged forward: append the
+/// item's K/V rows `k`/`v` (absolute positions `start..start + m`) to
+/// `seq`'s cache, then attend the query rows `q` — the item's last
+/// `q.len() / d` rows, each at its absolute position — through the
+/// sequence's page-walk view over all `start + m` rows into `ctx`.
+///
+/// Every new row is appended, so the cache is the same whichever rows
+/// query it; each query row reads only positions up to its own
+/// ([`attend`]), so its context does not depend on the rows left out.
+#[allow(clippy::too_many_arguments)] // arena/layer/item + k/v + q + scratch/out
+pub(crate) fn try_attend_item(
+    arena: &mut KvArena,
+    layer: usize,
+    seq: SeqId,
+    start: usize,
+    (k, v): (&[f32], &[f32]),
+    q: &[f32],
+    scratch: &mut AttnScratch,
+    ctx: &mut [f32],
+) -> Result<(), KvError> {
+    let (d, n_heads) = arena.shape();
+    let (m, n) = (k.len() / d, q.len() / d);
+    arena.try_append(seq, layer, start, k, v)?;
+    let view = arena.try_view(seq, layer, start + m)?;
+    attend(q, &view, start + m - n, n, d, n_heads, d / n_heads, scratch, ctx);
     Ok(())
 }
 
